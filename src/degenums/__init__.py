@@ -55,7 +55,6 @@ from .algorithms import (
     transform_check,
 )
 from .audit import (
-    AuditReport,
     IdentityResult,
     MatrixAuditResult,
     PrintedEntry,

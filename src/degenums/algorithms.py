@@ -115,6 +115,10 @@ class AlgorithmTable:
     rows: tuple[tuple[LambdaPoly, ...], ...]
 
     def entry(self, n: int, m: int) -> LambdaPoly:
+        if not 0 <= n <= self.row_count:
+            raise IndexError(f"row {n} outside table of {self.row_count + 1} rows")
+        if not 0 <= m < len(self.rows[n]):
+            raise IndexError(f"column {m} outside row {n} of {len(self.rows[n])} columns")
         return self.rows[n][m]
 
     @property
@@ -155,22 +159,10 @@ def closed_form_final_sequence(kind: str, seed: SequenceSpec, nmax: int) -> list
     seeds = seed.values(nmax + 1)
     signed = [seeds[k].scale(Fraction((-1) ** k * math.factorial(k))) for k in range(nmax + 1)]
     if kind == "B":
-        s2 = stirling2_table(nmax)
-        return [
-            sum((s2.entry(n, k) * signed[k] for k in range(n + 1)), ZERO)
-            for n in range(nmax + 1)
-        ]
-    s2 = stirling2_table(nmax + 1)
-    return [
-        sum(
-            (
-                (s2.entry(n + 1, k + 1) + s2.entry(n, k + 1) * LAM.scale(n)) * signed[k]
-                for k in range(n + 1)
-            ),
-            ZERO,
-        )
-        for n in range(nmax + 1)
-    ]
+        return stirling2_table(nmax).weighted_sums(signed)
+    # kind A: sum_k (S2(n+1, k+1) + n L S2(n, k+1)) signed[k]
+    a = stirling2_table(nmax + 1).weighted_sums([ZERO] + signed)
+    return [a[n + 1] + a[n] * LAM.scale(n) for n in range(nmax + 1)]
 
 
 def closed_form_final(kind: str, seed: SequenceSpec, n: int) -> LambdaPoly:

@@ -46,6 +46,7 @@ from .series import (
     apply_weighted_derivation,
     e_lambda_series,
     log_lambda_series,
+    powers,
     stirling2_from_series,
 )
 
@@ -53,7 +54,6 @@ __all__ = [
     "PrintedEntry",
     "MatrixAuditResult",
     "IdentityResult",
-    "AuditReport",
     "PRINTED_MATRIX_CORPUS",
     "IDENTITY_NAMES",
     "run_identity_suite",
@@ -85,12 +85,6 @@ class IdentityResult:
     name: str
     max_tested: int
     passed: bool
-
-
-@dataclass(frozen=True)
-class AuditReport:
-    identity_results: tuple[IdentityResult, ...]
-    matrix_results: tuple[MatrixAuditResult, ...]
 
 
 # -- printed corpus ----------------------------------------------------------
@@ -167,7 +161,7 @@ _MATRIX_SEEDS = {
 }
 
 
-def audit_printed_matrices() -> AuditReport:
+def audit_printed_matrices() -> tuple[MatrixAuditResult, ...]:
     """Recompute every corpus entry from the recurrence and flag agreement.
 
     Mismatches are data, not errors; the operation always succeeds.
@@ -181,7 +175,7 @@ def audit_printed_matrices() -> AuditReport:
     for entry in PRINTED_MATRIX_CORPUS:
         recomputed = tables[entry.matrix_id].entry(entry.row, entry.col)
         results.append(MatrixAuditResult(entry, recomputed, recomputed == entry.printed))
-    return AuditReport((), tuple(results))
+    return tuple(results)
 
 
 # -- independent oracles ------------------------------------------------------
@@ -345,17 +339,16 @@ def _id_stirling1_inversions(nmax: int, order: int) -> tuple[int, list[Pair]]:
     euler = euler_deg_sequence(cap)
     bern1 = bernoulli_deg_poly_sequence(cap, 1)
     euler1 = euler_deg_poly_sequence(cap, 1)
-
-    def weighted(values: list[LambdaPoly], n: int) -> LambdaPoly:
-        return sum((s1.entry(n, k) * values[k] for k in range(n + 1)), ZERO)
-
+    w_bern, w_euler, w_bern1, w_euler1 = (
+        s1.weighted_sums(values) for values in (bern, euler, bern1, euler1)
+    )
     pairs: list[Pair] = []
     for n in range(cap + 1):
         fall_n = classical_falling(LambdaPoly((n, -1)), n)
-        pairs.append((weighted(bern, n), fall_n.scale(Fraction((-1) ** n, n + 1))))
+        pairs.append((w_bern[n], fall_n.scale(Fraction((-1) ** n, n + 1))))
         pairs.append(
             (
-                weighted(euler, n),
+                w_euler[n],
                 LambdaPoly.constant(Fraction((-1) ** n * math.factorial(n), 2**n)),
             )
         )
@@ -363,13 +356,13 @@ def _id_stirling1_inversions(nmax: int, order: int) -> tuple[int, list[Pair]]:
         fall_n1 = classical_falling(LambdaPoly((n - 1, -1)), n - 1)
         pairs.append(
             (
-                weighted(bern1, n),
+                w_bern1[n],
                 ((LAM + ONE) * fall_n1).scale(Fraction((-1) ** (n - 1), n + 1)),
             )
         )
         pairs.append(
             (
-                weighted(euler1, n),
+                w_euler1[n],
                 LambdaPoly.constant(Fraction((-1) ** (n - 1) * math.factorial(n), 2**n)),
             )
         )
@@ -419,8 +412,7 @@ def _id_stirling2_shift(nmax: int, order: int) -> tuple[int, list[Pair]]:
     em1 = e - TruncatedSeries.constant(ONE, cap)
     s2 = stirling2_table(cap + 1)
     pairs: list[Pair] = []
-    power = TruncatedSeries.constant(ONE, cap)
-    for k in range(cap + 1):
+    for k, power in enumerate(powers(em1, cap)):
         lhs_series = e * power
         for n in range(k, cap + 1):
             lhs = lhs_series.coeff(n).scale(
@@ -428,8 +420,6 @@ def _id_stirling2_shift(nmax: int, order: int) -> tuple[int, list[Pair]]:
             )
             rhs = s2.entry(n + 1, k + 1) + s2.entry(n, k + 1) * LAM.scale(n)
             pairs.append((lhs, rhs))
-        if k < cap:
-            power = power * em1
     return cap, pairs
 
 
@@ -493,7 +483,7 @@ IDENTITY_NAMES: tuple[str, ...] = tuple(name for name, _ in _IDENTITY_REGISTRY)
 
 def run_identity_suite(
     nmax: int, order: int, inject_fault: str | None = None
-) -> AuditReport:
+) -> tuple[IdentityResult, ...]:
     """Evaluate every registered identity; each result records the range cap
     actually tested and whether every comparison held exactly.
 
@@ -513,4 +503,4 @@ def run_identity_suite(
             pairs[0] = (lhs + ONE, rhs)
         passed = all(lhs == rhs for lhs, rhs in pairs)
         results.append(IdentityResult(name, cap, passed))
-    return AuditReport(tuple(results), ())
+    return tuple(results)

@@ -137,22 +137,22 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[OutputRecord, list[str]]:
         raise ValueError(f"--nmax must be in 0..{VERIFY_NMAX_CEILING}")
     if not 0 <= args.order <= VERIFY_ORDER_CEILING:
         raise ValueError(f"--order must be in 0..{VERIFY_ORDER_CEILING}")
-    report = run_identity_suite(args.nmax, args.order, inject_fault=args.inject_fault)
-    failed = [r.name for r in report.identity_results if not r.passed]
+    results = run_identity_suite(args.nmax, args.order, inject_fault=args.inject_fault)
+    failed = [r.name for r in results if not r.passed]
     payload = {
         "nmax": args.nmax,
         "order": args.order,
         "all_pass": not failed,
         "results": [
             {"name": r.name, "max_tested": r.max_tested, "pass": r.passed}
-            for r in report.identity_results
+            for r in results
         ],
     }
     return OutputRecord("identity_report", payload), failed
 
 
 def _cmd_audit(args: argparse.Namespace) -> OutputRecord:
-    report = audit_printed_matrices()
+    results = audit_printed_matrices()
     payload = {
         "entries": [
             {
@@ -163,9 +163,9 @@ def _cmd_audit(args: argparse.Namespace) -> OutputRecord:
                 "recomputed": r.recomputed.render(),
                 "match": r.match,
             }
-            for r in report.matrix_results
+            for r in results
         ],
-        "mismatch_count": sum(1 for r in report.matrix_results if not r.match),
+        "mismatch_count": sum(1 for r in results if not r.match),
     }
     return OutputRecord("audit_report", payload)
 
@@ -273,8 +273,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_lambda_value(argv: list[str]) -> list[str]:
+    # argparse takes "-3/7" after "--lambda" for an option, not a value
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] == "--lambda" and not token.startswith("--"):
+            out[-1] = f"--lambda={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_lambda_value(sys.argv[1:] if argv is None else argv))
     status = 0
     failed: list[str] = []
     try:

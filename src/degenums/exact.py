@@ -252,11 +252,11 @@ class LambdaPoly:
                 k = int(power)
                 if k < 2:
                     raise ValueError(f"malformed polynomial term (write L, not L^{k}): {term!r}")
-            if k in seen:
-                raise ValueError(f"duplicate power L^{k} in {text!r}")
             c = Fraction(int(num), int(den) if den else 1)
             if c == 0:
                 raise ValueError(f"zero coefficient term in {text!r}")
+            if k in seen:
+                raise ValueError(f"duplicate power L^{k} in {text!r}")
             seen[k] = c
         coeffs = [Fraction(0)] * (max(seen) + 1)
         for k, c in seen.items():

@@ -71,15 +71,12 @@ def stirling1_table(nmax: int) -> StirlingTable:
 
 def bernoulli_deg_sequence(nmax: int) -> list[LambdaPoly]:
     """Degenerate Bernoulli numbers for n = 0..nmax."""
-    s2 = stirling2_table(nmax)
-    weights = [
-        binomial_lambda(k).scale(Fraction((-1) ** k * math.factorial(k), k + 1))
-        for k in range(nmax + 1)
-    ]
-    return [
-        sum((s2.entry(n, k) * weights[k] for k in range(n + 1)), ZERO)
-        for n in range(nmax + 1)
-    ]
+    return stirling2_table(nmax).weighted_sums(
+        [
+            binomial_lambda(k).scale(Fraction((-1) ** k * math.factorial(k), k + 1))
+            for k in range(nmax + 1)
+        ]
+    )
 
 
 def bernoulli_deg(n: int) -> LambdaPoly:
@@ -88,17 +85,12 @@ def bernoulli_deg(n: int) -> LambdaPoly:
 
 def euler_deg_sequence(nmax: int) -> list[LambdaPoly]:
     """Degenerate Euler numbers for n = 0..nmax."""
-    s2 = stirling2_table(nmax)
-    return [
-        sum(
-            (
-                s2.entry(n, k).scale(Fraction((-1) ** k * math.factorial(k), 2**k))
-                for k in range(n + 1)
-            ),
-            ZERO,
-        )
-        for n in range(nmax + 1)
-    ]
+    return stirling2_table(nmax).weighted_sums(
+        [
+            LambdaPoly.constant(Fraction((-1) ** k * math.factorial(k), 2**k))
+            for k in range(nmax + 1)
+        ]
+    )
 
 
 def euler_deg(n: int) -> LambdaPoly:
@@ -109,11 +101,9 @@ def bell_deg_sequence(nmax: int, x: Scalar = 1) -> list[LambdaPoly]:
     """Degenerate Bell polynomial values at x for n = 0..nmax (x = 1 gives
     the degenerate Bell numbers)."""
     x = Fraction(x)
-    s2 = stirling2_table(nmax)
-    return [
-        sum((s2.entry(n, k).scale(x**k) for k in range(n + 1)), ZERO)
-        for n in range(nmax + 1)
-    ]
+    return stirling2_table(nmax).weighted_sums(
+        [LambdaPoly.constant(x**k) for k in range(nmax + 1)]
+    )
 
 
 def bell_deg(n: int, x: Scalar = 1) -> LambdaPoly:

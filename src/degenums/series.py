@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .exact import LAM, ONE, ZERO, LambdaPoly, Scalar
 
@@ -27,6 +27,7 @@ __all__ = [
     "e_lambda_x_series",
     "log_lambda_series",
     "apply_weighted_derivation",
+    "powers",
     "egf_power_triangle",
     "stirling2_from_series",
 ]
@@ -135,16 +136,17 @@ class TruncatedSeries:
         )
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
-        """Substitute ``inner`` for t; ``inner`` must have a zero constant term."""
+        """Substitute ``inner`` for t as sum_k f_k inner^k over the power table;
+        ``inner`` must have a zero constant term."""
         if not inner.coeff(0).is_zero:
             raise ValueError("composition requires a zero constant term in the inner series")
         order = min(self.order, inner.order)
-        g = inner.truncate(order)
-        acc = TruncatedSeries.constant(self._coeffs[order], order)
-        for k in range(order - 1, -1, -1):
-            acc = acc * g
-            acc = TruncatedSeries((acc._coeffs[0] + self._coeffs[k],) + acc._coeffs[1:])
-        return acc
+        out = [ZERO] * (order + 1)
+        for f_k, power in zip(self._coeffs, powers(inner.truncate(order), order)):
+            for n, c in enumerate(power._coeffs):
+                if not (f_k.is_zero or c.is_zero):
+                    out[n] = out[n] + f_k * c
+        return TruncatedSeries(out)
 
     def reciprocal(self) -> "TruncatedSeries":
         """Multiplicative inverse; the constant term must be a nonzero rational."""
@@ -267,6 +269,26 @@ class StirlingTable:
             return ZERO
         return self.entries[n][k]
 
+    def weighted_sums(self, weights: Sequence[LambdaPoly]) -> list[LambdaPoly]:
+        """[sum_k entry(n, k) * weights[k] for n = 0..nmax]: every weighted
+        Stirling sum in the package goes through this one kernel."""
+        if len(weights) <= self.nmax:
+            raise ValueError(f"need {self.nmax + 1} weights, got {len(weights)}")
+        return [
+            sum((c * w for c, w in zip(row, weights)), ZERO)
+            for row in self.entries
+        ]
+
+
+def powers(g: TruncatedSeries, n: int) -> list[TruncatedSeries]:
+    """The power table [g^0, g^1, ..., g^n], each at the order of g."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    table = [TruncatedSeries.constant(ONE, g.order)]
+    for _ in range(n):
+        table.append(table[-1] * g)
+    return table
+
 
 def egf_power_triangle(g: TruncatedSeries, nmax: int) -> tuple[tuple[LambdaPoly, ...], ...]:
     """Triangle t[n][k] = n! [t^n] g^k / k! for 0 <= k <= n <= nmax.
@@ -278,13 +300,7 @@ def egf_power_triangle(g: TruncatedSeries, nmax: int) -> tuple[tuple[LambdaPoly,
         raise ValueError("triangle extraction requires a zero constant term")
     if g.order < nmax:
         raise ValueError(f"need a series of order >= {nmax}")
-    g = g.truncate(nmax)
-    cols: list[tuple[LambdaPoly, ...]] = []
-    power = TruncatedSeries.constant(ONE, nmax)
-    for k in range(nmax + 1):
-        cols.append(power.coeffs)
-        if k < nmax:
-            power = power * g
+    cols = [power.coeffs for power in powers(g.truncate(nmax), nmax)]
     return tuple(
         tuple(
             cols[k][n].scale(Fraction(math.factorial(n), math.factorial(k)))

@@ -110,7 +110,7 @@ def test_criterion_01_bernoulli_identification():
     printed_ok = all(finals[r] == printed_col0[r] for r in range(3))
     audit_flags = {
         (r.entry.matrix_id, r.entry.row, r.entry.col): r.match
-        for r in audit_printed_matrices().matrix_results
+        for r in audit_printed_matrices()
     }
     misprint_reported = not audit_flags[("bernoulli_B", 3, 0)]
     ok = (
@@ -321,7 +321,7 @@ def test_criterion_10_audit_and_verify(capsys):
 
     flags = {
         (r.entry.matrix_id, r.entry.row, r.entry.col): r.match
-        for r in report.matrix_results
+        for r in report
     }
     required_mismatches = [
         ("bernoulli_B", 2, 1),

@@ -81,6 +81,14 @@ def test_trapezoid_shape_and_row0():
     assert list(table.rows[0]) == SequenceSpec.half_powers().values(6)
 
 
+def test_entry_bounds_raise_instead_of_wrapping():
+    table = build_table("B", SequenceSpec.half_powers(), 3)
+    for n, m in ((-1, 0), (0, -1), (table.row_count + 1, 0), (1, 3)):
+        with pytest.raises(IndexError, match="outside"):
+            table.entry(n, m)
+    assert table.entry(1, 2) == table.rows[1][2]
+
+
 def test_known_entries():
     b_half = build_table("B", SequenceSpec.half_powers(), 2)
     assert b_half.entry(1, 0) == LambdaPoly.constant(F(-1, 2))

@@ -17,8 +17,8 @@ F = Fraction
 P = LambdaPoly.parse
 
 
-def _result(report, matrix_id, row, col):
-    for r in report.matrix_results:
+def _result(results, matrix_id, row, col):
+    for r in results:
         e = r.entry
         if (e.matrix_id, e.row, e.col) == (matrix_id, row, col):
             return r
@@ -90,10 +90,9 @@ def test_audit_is_deterministic():
 
 
 def test_audit_never_fails_on_mismatch():
-    report = audit_printed_matrices()
-    assert any(not r.match for r in report.matrix_results)
-    assert len(report.matrix_results) == len(PRINTED_MATRIX_CORPUS)
-    assert report.identity_results == ()
+    results = audit_printed_matrices()
+    assert any(not r.match for r in results)
+    assert len(results) == len(PRINTED_MATRIX_CORPUS)
 
 
 # -- oracles -----------------------------------------------------------------
@@ -139,15 +138,13 @@ def test_classical_table_validation():
 
 
 def test_identity_suite_all_pass():
-    report = run_identity_suite(6, 6)
-    assert [r.name for r in report.identity_results] == list(IDENTITY_NAMES)
-    assert all(r.passed for r in report.identity_results)
-    assert report.matrix_results == ()
+    results = run_identity_suite(6, 6)
+    assert [r.name for r in results] == list(IDENTITY_NAMES)
+    assert all(r.passed for r in results)
 
 
 def test_identity_suite_caps():
-    report = run_identity_suite(30, 30)
-    caps = {r.name: r.max_tested for r in report.identity_results}
+    caps = {r.name: r.max_tested for r in run_identity_suite(30, 30)}
     assert caps["stirling2_three_way"] == 15
     assert caps["classical_limits_at_lambda0"] == 20
     assert caps["final_vs_closed_form"] == 24
@@ -156,14 +153,13 @@ def test_identity_suite_caps():
 
 
 def test_identity_suite_degenerate_ranges():
-    report = run_identity_suite(0, 0)
-    assert all(r.passed for r in report.identity_results)
+    assert all(r.passed for r in run_identity_suite(0, 0))
 
 
 def test_fault_injection_flips_named_identity():
     for name in ("stirling2_three_way", "ogf_egf_transforms"):
-        report = run_identity_suite(5, 5, inject_fault=name)
-        outcome = {r.name: r.passed for r in report.identity_results}
+        results = run_identity_suite(5, 5, inject_fault=name)
+        outcome = {r.name: r.passed for r in results}
         assert outcome[name] is False
         others = [ok for nm, ok in outcome.items() if nm != name]
         assert all(others)

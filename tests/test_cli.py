@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import degenums
 from degenums.cli import main
 from degenums.exact import LambdaPoly, parse_rat
 
@@ -276,7 +279,7 @@ def test_polynomial_payloads_round_trip(capsys):
         assert LambdaPoly.parse(e["recomputed"]).render() == e["recomputed"]
 
 
-@pytest.mark.parametrize("q", ["0", "1/2", "-1"])
+@pytest.mark.parametrize("q", ["0", "1/2", "-1", "-3/7"])
 def test_lambda_substitution_commutes(q, capsys):
     lam = parse_rat(q)
     _, symbolic, _ = run_json(capsys, "numbers", "bernoulli", "--nmax", "6")
@@ -307,10 +310,14 @@ def test_lambda_substitution_commutes(q, capsys):
 
 
 def test_module_invocation_subprocess():
+    # the child imports the same package as this test, installed or not
+    src = str(Path(degenums.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "degenums", "numbers", "euler", "--nmax", "2"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)

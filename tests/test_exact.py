@@ -227,3 +227,5 @@ def test_parse_rejects_malformed():
     ):
         with pytest.raises(ValueError):
             LambdaPoly.parse(bad)
+    with pytest.raises(ValueError, match="zero coefficient"):
+        LambdaPoly.parse("1 + 0")

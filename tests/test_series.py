@@ -2,19 +2,37 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degenums.exact import LAM, ONE, ZERO, LambdaPoly
-from degenums.numbers import stirling2_table
+from degenums.numbers import stirling1_table, stirling2_table
 from degenums.series import (
     TruncatedSeries,
     apply_weighted_derivation,
     e_lambda_series,
     e_lambda_x_series,
     log_lambda_series,
+    powers,
     stirling2_from_series,
 )
 
 F = Fraction
+
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+polys = st.lists(rationals, max_size=3).map(LambdaPoly)
+orders = st.integers(min_value=0, max_value=6)
+
+
+def series_of(order: int, zero_constant: bool = False):
+    coeffs = st.lists(polys, min_size=order + 1, max_size=order + 1)
+    if zero_constant:
+        coeffs = coeffs.map(lambda cs: [ZERO] + cs[1:])
+    return coeffs.map(TruncatedSeries)
+
+
+series = orders.flatmap(series_of)
+inner_series = orders.flatmap(lambda n: series_of(n, zero_constant=True))
 
 
 def test_construction_and_order():
@@ -67,6 +85,60 @@ def test_compose_rejects_nonzero_constant():
     f = TruncatedSeries([1, 1])
     with pytest.raises(ValueError):
         f.compose(TruncatedSeries([1, 1]))
+
+
+@settings(deadline=None, max_examples=60)
+@given(series, series, inner_series)
+def test_compose_is_multiplicative(f, h, g):
+    assert (f * h).compose(g) == f.compose(g) * h.compose(g)
+
+
+@settings(deadline=None, max_examples=60)
+@given(series, series, inner_series)
+def test_compose_is_additive(f, h, g):
+    assert (f + h).compose(g) == f.compose(g) + h.compose(g)
+
+
+@settings(deadline=None, max_examples=60)
+@given(series, polys)
+def test_compose_with_scaled_variable(f, c):
+    ct = TruncatedSeries([ZERO, c] + [ZERO] * f.order)
+    power = ONE
+    expected = []
+    for f_n in f.coeffs:
+        expected.append(f_n * power)
+        power = power * c
+    assert f.compose(ct).coeffs == tuple(expected)
+
+
+@settings(deadline=None, max_examples=60)
+@given(series, orders)
+def test_powers_are_repeated_products(g, n):
+    table = powers(g, n)
+    assert len(table) == n + 1
+    product = TruncatedSeries.constant(ONE, g.order)
+    for k in range(n + 1):
+        assert table[k] == product
+        product = product * g
+
+
+def test_powers_rejects_negative_count():
+    with pytest.raises(ValueError):
+        powers(TruncatedSeries([0, 1]), -1)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from([stirling1_table, stirling2_table]), orders, st.data())
+def test_weighted_sums_of_unit_vector_is_column(make_table, nmax, data):
+    table = make_table(nmax)
+    k = data.draw(st.integers(min_value=0, max_value=nmax))
+    unit = [ONE if i == k else ZERO for i in range(nmax + 1)]
+    assert table.weighted_sums(unit) == [table.entry(n, k) for n in range(nmax + 1)]
+
+
+def test_weighted_sums_needs_a_weight_per_column():
+    with pytest.raises(ValueError, match="need 4 weights"):
+        stirling2_table(3).weighted_sums([ONE, ONE, ONE])
 
 
 def test_compositional_inverse_both_ways():
