@@ -11,9 +11,7 @@ from .exact import (
     ZERO,
     LambdaPoly,
     Rat,
-    binomial_lambda,
     classical_falling,
-    degenerate_falling,
     format_rat,
     parse_rat,
 )
@@ -27,18 +25,13 @@ from .series import (
     stirling2_from_series,
 )
 from .numbers import (
-    bell_deg,
     bell_deg_sequence,
-    bernoulli_deg,
-    bernoulli_deg_poly,
     bernoulli_deg_poly_sequence,
     bernoulli_deg_sequence,
     classical_bell,
     classical_bernoulli,
     classical_euler,
     classical_oracles,
-    euler_deg,
-    euler_deg_poly,
     euler_deg_poly_sequence,
     euler_deg_sequence,
     stirling1_table,
@@ -48,7 +41,6 @@ from .algorithms import (
     AlgorithmTable,
     SequenceSpec,
     build_table,
-    closed_form_final,
     closed_form_final_sequence,
     final_sequence,
     inverse_transform_check,

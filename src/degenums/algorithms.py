@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import LAM, ONE, ZERO, LambdaPoly, binomial_lambda
+from .exact import LAM, ONE, ZERO, LambdaPoly, linear_products
 from .numbers import stirling2_table
 from .series import TruncatedSeries, e_lambda_series, log_lambda_series
 
@@ -31,7 +31,6 @@ __all__ = [
     "AlgorithmTable",
     "build_table",
     "final_sequence",
-    "closed_form_final",
     "closed_form_final_sequence",
     "transform_check",
     "inverse_transform_check",
@@ -73,45 +72,34 @@ class SequenceSpec:
     def custom(cls, values) -> "SequenceSpec":
         return cls("custom", tuple(values))
 
-    def entry(self, n: int) -> LambdaPoly:
-        if n < 0:
-            raise ValueError("seed index must be nonnegative")
-        if self.variant == "bernoulli_seed":
-            return binomial_lambda(n).scale(Fraction(1, n + 1))
-        if self.variant == "half_powers":
-            return LambdaPoly.constant(Fraction(1, 2**n))
-        if self.variant == "bell_seed":
-            if n == 0:
-                return ZERO
-            return LambdaPoly.constant(Fraction((-1) ** n, math.factorial(n)))
-        assert self.custom_values is not None
-        if n >= len(self.custom_values):
-            raise ValueError(
-                f"custom seed provides {len(self.custom_values)} entries, "
-                f"but entry {n} is required (need at least {n + 1})"
-            )
-        return self.custom_values[n]
-
     def values(self, count: int) -> list[LambdaPoly]:
         """Seed entries 0..count-1; fails with the required length for a
         custom seed that is too short."""
-        if self.variant == "custom":
-            assert self.custom_values is not None
-            if count > len(self.custom_values):
-                raise ValueError(
-                    f"custom seed provides {len(self.custom_values)} entries, "
-                    f"need at least {count}"
-                )
-        return [self.entry(n) for n in range(count)]
+        if count < 0:
+            raise ValueError("seed length must be nonnegative")
+        if self.variant == "bernoulli_seed":
+            prods = linear_products(ONE - LAM, 1, count)[:count]
+            return [p.scale(Fraction(1, math.factorial(n + 1))) for n, p in enumerate(prods)]
+        if self.variant == "half_powers":
+            return [LambdaPoly.constant(Fraction(1, 2**n)) for n in range(count)]
+        if self.variant == "bell_seed":
+            return [
+                LambdaPoly.constant(Fraction((-1) ** n, math.factorial(n)) if n else 0)
+                for n in range(count)
+            ]
+        assert self.custom_values is not None
+        if count > len(self.custom_values):
+            raise ValueError(
+                f"custom seed provides {len(self.custom_values)} entries, "
+                f"need at least {count}"
+            )
+        return list(self.custom_values[:count])
 
 
 @dataclass(frozen=True)
 class AlgorithmTable:
-    """Trapezoidal run of the recurrence: rows[n] holds columns 0..width-n."""
+    """Trapezoidal run of the recurrence: rows[n] holds columns 0..row_count-n."""
 
-    kind: str
-    seed: SequenceSpec
-    width: int
     rows: tuple[tuple[LambdaPoly, ...], ...]
 
     def entry(self, n: int, m: int) -> LambdaPoly:
@@ -143,7 +131,7 @@ def build_table(kind: str, seed: SequenceSpec, rows: int) -> AlgorithmTable:
                 for m in range(len(prev) - 1)
             )
         )
-    return AlgorithmTable(kind, seed, rows, tuple(table))
+    return AlgorithmTable(tuple(table))
 
 
 def final_sequence(table: AlgorithmTable) -> list[LambdaPoly]:
@@ -163,10 +151,6 @@ def closed_form_final_sequence(kind: str, seed: SequenceSpec, nmax: int) -> list
     # kind A: sum_k (S2(n+1, k+1) + n L S2(n, k+1)) signed[k]
     a = stirling2_table(nmax + 1).weighted_sums([ZERO] + signed)
     return [a[n + 1] + a[n] * LAM.scale(n) for n in range(nmax + 1)]
-
-
-def closed_form_final(kind: str, seed: SequenceSpec, n: int) -> LambdaPoly:
-    return closed_form_final_sequence(kind, seed, n)[n]
 
 
 def _final_egf(kind: str, seed: SequenceSpec, order: int) -> TruncatedSeries:

@@ -250,7 +250,7 @@ def stirling2_by_basis_expansion(nmax: int) -> StirlingTable:
                 q[0] = q[0] - c
                 q = _xpoly_div_linear(q, k)
         rows.append(tuple(row))
-    return StirlingTable("second_degenerate", nmax, tuple(rows))
+    return StirlingTable(tuple(rows))
 
 
 # -- identity suite -----------------------------------------------------------
@@ -429,7 +429,7 @@ def _id_classical_degeneration(nmax: int, order: int) -> tuple[int, list[Pair]]:
     for kind in ("B", "A"):
         for seed in _all_seeds():
             table = build_table(kind, seed, cap)
-            seed0 = [seed.entry(m).eval_at(0) for m in range(cap + 1)]
+            seed0 = [v.eval_at(0) for v in seed.values(cap + 1)]
             classical = classical_algorithm_table(kind, seed0, cap)
             for n in range(cap + 1):
                 for m in range(cap - n + 1):

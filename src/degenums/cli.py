@@ -274,10 +274,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _join_lambda_value(argv: list[str]) -> list[str]:
-    # argparse takes "-3/7" after "--lambda" for an option, not a value
+    # argparse takes "-3/7" after "--lambda" (or an abbreviation such as
+    # "--lam") for an option, not a value
     out: list[str] = []
     for token in argv:
-        if out and out[-1] == "--lambda" and not token.startswith("--"):
+        prev = out[-1] if out else ""
+        if len(prev) >= 3 and "--lambda".startswith(prev) and not token.startswith("--"):
             out[-1] = f"--lambda={token}"
         else:
             out.append(token)

@@ -33,8 +33,7 @@ __all__ = [
     "LAM",
     "format_rat",
     "parse_rat",
-    "binomial_lambda",
-    "degenerate_falling",
+    "linear_products",
     "classical_falling",
 ]
 
@@ -234,7 +233,8 @@ class LambdaPoly:
 
     @classmethod
     def parse(cls, text: str) -> "LambdaPoly":
-        """Parse the canonical rendering back into a polynomial."""
+        """Parse the canonical rendering back into a polynomial; any other
+        spelling of the same polynomial is rejected."""
         s = text.strip()
         if s == "0":
             return ZERO
@@ -244,24 +244,17 @@ class LambdaPoly:
             if not m:
                 raise ValueError(f"malformed polynomial term: {term!r}")
             num, den, power = m.groups()
-            if "*L" not in term:
-                k = 0
-            elif power is None:
-                k = 1
-            else:
-                k = int(power)
-                if k < 2:
-                    raise ValueError(f"malformed polynomial term (write L, not L^{k}): {term!r}")
             c = Fraction(int(num), int(den) if den else 1)
             if c == 0:
                 raise ValueError(f"zero coefficient term in {text!r}")
-            if k in seen:
-                raise ValueError(f"duplicate power L^{k} in {text!r}")
-            seen[k] = c
+            seen[int(power or 1) if "*L" in term else 0] = c
         coeffs = [Fraction(0)] * (max(seen) + 1)
         for k, c in seen.items():
             coeffs[k] = c
-        return cls(coeffs)
+        p = cls(coeffs)
+        if p.render() != s:
+            raise ValueError(f"not in canonical form: {text!r}")
+        return p
 
     def __str__(self) -> str:
         return self.render()
@@ -275,28 +268,16 @@ ONE = LambdaPoly((1,))
 LAM = LambdaPoly((0, 1))
 
 
-def binomial_lambda(k: int) -> LambdaPoly:
-    """C(k - L, k) = (k - L)(k-1 - L)...(1 - L) / k!, with the empty product 1.
-
-    Degree exactly k for k >= 1.
-    """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    p = ONE
-    for j in range(1, k + 1):
-        p = p * LambdaPoly((j, -1))
-    return p.scale(Fraction(1, math.factorial(k)))
-
-
-def degenerate_falling(x: Scalar, n: int) -> LambdaPoly:
-    """Degenerate falling factorial x(x - L)(x - 2L)...(x - (n-1)L)."""
+def linear_products(a: LambdaPoly | Scalar, c: LambdaPoly | Scalar, n: int) -> list[LambdaPoly]:
+    """[prod_{j<m} (a + j c) for m = 0..n], the running products of linear
+    factors in L: a = x, c = -L gives the degenerate falling factorials
+    (x)_{m,L}, and a = 1 - L, c = 1 gives (1-L)(2-L)...(m-L) = m! C(m-L, m)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    x = Fraction(x)
-    p = ONE
+    out = [ONE]
     for j in range(n):
-        p = p * LambdaPoly((x, -j))
-    return p
+        out.append(out[-1] * (a + c * j))
+    return out
 
 
 def classical_falling(p: LambdaPoly, n: int) -> LambdaPoly:

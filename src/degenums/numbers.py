@@ -17,22 +17,17 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exact import LambdaPoly, Scalar, ZERO, ONE, binomial_lambda, degenerate_falling
+from .exact import LAM, LambdaPoly, Scalar, ZERO, ONE, linear_products
 from .series import StirlingTable, egf_power_triangle, log_lambda_series
 
 __all__ = [
     "StirlingTable",
     "stirling2_table",
     "stirling1_table",
-    "bernoulli_deg",
     "bernoulli_deg_sequence",
-    "euler_deg",
     "euler_deg_sequence",
-    "bell_deg",
     "bell_deg_sequence",
-    "bernoulli_deg_poly",
     "bernoulli_deg_poly_sequence",
-    "euler_deg_poly",
     "euler_deg_poly_sequence",
     "classical_bernoulli",
     "classical_euler",
@@ -57,30 +52,25 @@ def stirling2_table(nmax: int) -> StirlingTable:
             right = prev[k] if k <= n else ZERO
             row.append(left + right * LambdaPoly((k, -n)))
         rows.append(tuple(row))
-    return StirlingTable("second_degenerate", nmax, tuple(rows))
+    return StirlingTable(tuple(rows))
 
 
 def stirling1_table(nmax: int) -> StirlingTable:
     """Degenerate Stirling numbers of the first kind: n! [t^n] log_L(1+t)^k / k!."""
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
-    return StirlingTable(
-        "first_degenerate", nmax, egf_power_triangle(log_lambda_series(nmax), nmax)
-    )
+    return StirlingTable(egf_power_triangle(log_lambda_series(nmax), nmax))
 
 
 def bernoulli_deg_sequence(nmax: int) -> list[LambdaPoly]:
-    """Degenerate Bernoulli numbers for n = 0..nmax."""
+    """Degenerate Bernoulli numbers for n = 0..nmax: weight k is
+    (-1)^k (1-L)(2-L)...(k-L) / (k+1)."""
     return stirling2_table(nmax).weighted_sums(
         [
-            binomial_lambda(k).scale(Fraction((-1) ** k * math.factorial(k), k + 1))
-            for k in range(nmax + 1)
+            p.scale(Fraction((-1) ** k, k + 1))
+            for k, p in enumerate(linear_products(ONE - LAM, 1, nmax))
         ]
     )
-
-
-def bernoulli_deg(n: int) -> LambdaPoly:
-    return bernoulli_deg_sequence(n)[n]
 
 
 def euler_deg_sequence(nmax: int) -> list[LambdaPoly]:
@@ -93,10 +83,6 @@ def euler_deg_sequence(nmax: int) -> list[LambdaPoly]:
     )
 
 
-def euler_deg(n: int) -> LambdaPoly:
-    return euler_deg_sequence(n)[n]
-
-
 def bell_deg_sequence(nmax: int, x: Scalar = 1) -> list[LambdaPoly]:
     """Degenerate Bell polynomial values at x for n = 0..nmax (x = 1 gives
     the degenerate Bell numbers)."""
@@ -106,13 +92,9 @@ def bell_deg_sequence(nmax: int, x: Scalar = 1) -> list[LambdaPoly]:
     )
 
 
-def bell_deg(n: int, x: Scalar = 1) -> LambdaPoly:
-    return bell_deg_sequence(n, x)[n]
-
-
 def _convolve_at(base: list[LambdaPoly], x: Fraction, nmax: int) -> list[LambdaPoly]:
     # sum_k C(n,k) (x)_{n-k,L} base[k]
-    falls = [degenerate_falling(x, m) for m in range(nmax + 1)]
+    falls = linear_products(x, -LAM, nmax)
     return [
         sum(
             (
@@ -130,17 +112,9 @@ def bernoulli_deg_poly_sequence(nmax: int, x: Scalar) -> list[LambdaPoly]:
     return _convolve_at(bernoulli_deg_sequence(nmax), Fraction(x), nmax)
 
 
-def bernoulli_deg_poly(n: int, x: Scalar) -> LambdaPoly:
-    return bernoulli_deg_poly_sequence(n, x)[n]
-
-
 def euler_deg_poly_sequence(nmax: int, x: Scalar) -> list[LambdaPoly]:
     """Degenerate Euler polynomial values at a rational x, n = 0..nmax."""
     return _convolve_at(euler_deg_sequence(nmax), Fraction(x), nmax)
-
-
-def euler_deg_poly(n: int, x: Scalar) -> LambdaPoly:
-    return euler_deg_poly_sequence(n, x)[n]
 
 
 # -- classical oracles, deliberately independent of everything above --------

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .exact import LAM, ONE, ZERO, LambdaPoly, Scalar
+from .exact import LAM, ONE, ZERO, LambdaPoly, Scalar, linear_products
 
 __all__ = [
     "TruncatedSeries",
@@ -188,13 +188,8 @@ def e_lambda_x_series(x: Scalar, order: int) -> TruncatedSeries:
     factorial of x, length k, divided by k!."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    x = Fraction(x)
-    coeffs = [ONE]
-    term = ONE
-    for k in range(1, order + 1):
-        term = (term * LambdaPoly((x, -(k - 1)))).scale(Fraction(1, k))
-        coeffs.append(term)
-    return TruncatedSeries(coeffs)
+    falls = linear_products(Fraction(x), -LAM, order)
+    return TruncatedSeries(p.scale(Fraction(1, math.factorial(k))) for k, p in enumerate(falls))
 
 
 def e_lambda_series(order: int) -> TruncatedSeries:
@@ -204,15 +199,13 @@ def e_lambda_series(order: int) -> TruncatedSeries:
 
 def log_lambda_series(order: int) -> TruncatedSeries:
     """Series of log_L(1+t), the compositional inverse of e_L(t) - 1 shifted
-    to 1+t: coefficient of t^n is (-1)^(n-1) C(n-1-L, n-1) / n."""
+    to 1+t: coefficient of t^n is (-1)^(n-1) (1-L)(2-L)...(n-1-L) / n!."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    coeffs = [ZERO]
-    top = ONE  # C(m - L, m), starting at m = 0
-    for n in range(1, order + 1):
-        coeffs.append(top.scale(Fraction((-1) ** (n - 1), n)))
-        top = (top * LambdaPoly((n, -1))).scale(Fraction(1, n))
-    return TruncatedSeries(coeffs)
+    prods = linear_products(ONE - LAM, 1, order)[:order]
+    return TruncatedSeries(
+        [ZERO] + [p.scale(Fraction((-1) ** k, math.factorial(k + 1))) for k, p in enumerate(prods)]
+    )
 
 
 def apply_weighted_derivation(f: TruncatedSeries, n: int) -> TruncatedSeries:
@@ -242,25 +235,20 @@ def apply_weighted_derivation(f: TruncatedSeries, n: int) -> TruncatedSeries:
 
 @dataclass(frozen=True)
 class StirlingTable:
-    """Triangular table of connection coefficients, entries[n][k] for k <= n.
-
-    kind is "second_degenerate" (degenerate Stirling numbers of the second
-    kind) or "first_degenerate" (first kind).  Entries outside the triangle
-    read as zero.
+    """Triangular table of degenerate Stirling numbers (either kind),
+    entries[n][k] for k <= n.  Entries outside the triangle read as zero.
     """
 
-    kind: str
-    nmax: int
     entries: tuple[tuple[LambdaPoly, ...], ...]
 
     def __post_init__(self) -> None:
-        if self.kind not in ("second_degenerate", "first_degenerate"):
-            raise ValueError(f"unknown table kind: {self.kind!r}")
-        if len(self.entries) != self.nmax + 1:
-            raise ValueError("table must have nmax + 1 rows")
         for n, row in enumerate(self.entries):
             if len(row) != n + 1:
                 raise ValueError(f"row {n} must have {n + 1} entries")
+
+    @property
+    def nmax(self) -> int:
+        return len(self.entries) - 1
 
     def entry(self, n: int, k: int) -> LambdaPoly:
         if not 0 <= n <= self.nmax:
@@ -316,4 +304,4 @@ def stirling2_from_series(nmax: int) -> StirlingTable:
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
     em1 = e_lambda_series(nmax) - TruncatedSeries.constant(ONE, nmax)
-    return StirlingTable("second_degenerate", nmax, egf_power_triangle(em1, nmax))
+    return StirlingTable(egf_power_triangle(em1, nmax))

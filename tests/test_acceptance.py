@@ -290,7 +290,7 @@ def test_criterion_08_classical_degeneration():
     for kind in ("B", "A"):
         for seed in ALL_SEEDS:
             table = build_table(kind, seed, rows)
-            seed0 = [seed.entry(m).eval_at(0) for m in range(rows + 1)]
+            seed0 = [v.eval_at(0) for v in seed.values(rows + 1)]
             classical = classical_algorithm_table(kind, seed0, rows)
             for n in range(rows + 1):
                 for m in range(rows - n + 1):

@@ -2,17 +2,18 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degenums.algorithms import (
     SequenceSpec,
     build_table,
-    closed_form_final,
     closed_form_final_sequence,
     final_sequence,
     inverse_transform_check,
     transform_check,
 )
-from degenums.exact import LAM, ONE, ZERO, LambdaPoly, binomial_lambda
+from degenums.exact import LAM, ONE, ZERO, LambdaPoly, linear_products
 from degenums.numbers import (
     bell_deg_sequence,
     bernoulli_deg_poly_sequence,
@@ -32,15 +33,15 @@ ALL_SEEDS = (SequenceSpec.bernoulli(), SequenceSpec.half_powers(), SequenceSpec.
 
 
 def test_seed_variants():
-    bern = SequenceSpec.bernoulli()
-    assert bern.entry(0) == ONE
-    assert bern.entry(1) == (ONE - LAM).scale(F(1, 2))
-    assert bern.entry(2) == binomial_lambda(2).scale(F(1, 3))
-    half = SequenceSpec.half_powers()
-    assert [half.entry(n).coeff(0) for n in range(4)] == [1, F(1, 2), F(1, 4), F(1, 8)]
-    bell = SequenceSpec.bell()
-    assert bell.entry(0) == ZERO
-    assert bell.entry(3) == LambdaPoly.constant(F(-1, 6))
+    bern = SequenceSpec.bernoulli().values(3)
+    assert bern[0] == ONE
+    assert bern[1] == (ONE - LAM).scale(F(1, 2))
+    assert bern[2] == linear_products(ONE - LAM, 1, 2)[2].scale(F(1, math.factorial(2) * 3))
+    half = SequenceSpec.half_powers().values(4)
+    assert [v.coeff(0) for v in half] == [1, F(1, 2), F(1, 4), F(1, 8)]
+    bell = SequenceSpec.bell().values(4)
+    assert bell[0] == ZERO
+    assert bell[3] == LambdaPoly.constant(F(-1, 6))
 
 
 def test_seed_validation():
@@ -50,8 +51,17 @@ def test_seed_validation():
         SequenceSpec("custom")  # custom without values
     with pytest.raises(ValueError):
         SequenceSpec("half_powers", custom_values=(ONE,))
-    with pytest.raises(ValueError):
-        SequenceSpec.bernoulli().entry(-1)
+    for seed in ALL_SEEDS + (SequenceSpec.custom([ONE]),):
+        with pytest.raises(ValueError):
+            seed.values(-1)
+
+
+@settings(deadline=None)
+@given(st.integers(0, 8), st.integers(0, 8))
+def test_seed_values_are_prefixes(m, n):
+    m, n = min(m, n), max(m, n)
+    for seed in ALL_SEEDS + (SequenceSpec.custom(SequenceSpec.bell().values(n)),):
+        assert seed.values(m) == seed.values(n)[:m]
 
 
 def test_custom_seed_too_short_names_required_length():
@@ -75,7 +85,7 @@ def test_build_table_validation():
 
 def test_trapezoid_shape_and_row0():
     table = build_table("B", SequenceSpec.half_powers(), 5)
-    assert table.width == 5 and table.row_count == 5
+    assert table.row_count == 5
     for n, row in enumerate(table.rows):
         assert len(row) == 6 - n
     assert list(table.rows[0]) == SequenceSpec.half_powers().values(6)
@@ -132,11 +142,11 @@ def test_final_sequence_examples():
 
 
 def test_closed_form_examples():
-    assert closed_form_final("B", SequenceSpec.bernoulli(), 2) == P("1/6 + -1/6*L^2")
-    assert closed_form_final("A", SequenceSpec.half_powers(), 2) == LAM.scale(F(-1, 2))
+    assert closed_form_final_sequence("B", SequenceSpec.bernoulli(), 2)[2] == P("1/6 + -1/6*L^2")
+    assert closed_form_final_sequence("A", SequenceSpec.half_powers(), 2)[2] == LAM.scale(F(-1, 2))
     for kind in ("B", "A"):
         for seed in ALL_SEEDS:
-            assert closed_form_final(kind, seed, 0) == seed.entry(0)
+            assert closed_form_final_sequence(kind, seed, 0)[0] == seed.values(1)[0]
 
 
 def test_closed_form_matches_recurrence():
@@ -203,8 +213,8 @@ def test_inverse_transform_order_zero_is_seed_head():
     for kind in ("B", "A"):
         for seed in ALL_SEEDS:
             lhs, rhs = inverse_transform_check(kind, seed, 0)
-            assert lhs.coeffs == (seed.entry(0),)
-            assert rhs.coeffs == (seed.entry(0),)
+            assert lhs.coeffs == tuple(seed.values(1))
+            assert rhs.coeffs == tuple(seed.values(1))
 
 
 def test_inverse_transform_a_half_t_coefficient():
@@ -225,7 +235,7 @@ def test_lambda_zero_degeneration_small():
     for kind in ("B", "A"):
         for seed in ALL_SEEDS:
             table = build_table(kind, seed, rows)
-            seed0 = [seed.entry(m).eval_at(0) for m in range(rows + 1)]
+            seed0 = [v.eval_at(0) for v in seed.values(rows + 1)]
             classical = classical_algorithm_table(kind, seed0, rows)
             for n in range(rows + 1):
                 for m in range(rows - n + 1):

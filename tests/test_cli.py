@@ -177,6 +177,17 @@ def test_matrix_custom_seed_malformed_line(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_matrix_custom_seed_noncanonical_line(tmp_path, capsys):
+    path = tmp_path / "seed.txt"
+    path.write_text("1\n2/4\n", encoding="utf-8")
+    status, _, err = run_cli(
+        capsys, "matrix", "B", "--seed", "custom", "--rows", "1",
+        "--custom-file", str(path),
+    )
+    assert status == 2
+    assert "line 2" in err and "not in canonical form" in err
+
+
 def test_custom_file_flag_consistency(tmp_path, capsys):
     path = tmp_path / "seed.txt"
     path.write_text("1\n", encoding="utf-8")
@@ -277,6 +288,14 @@ def test_polynomial_payloads_round_trip(capsys):
     for e in doc["payload"]["entries"]:
         assert LambdaPoly.parse(e["printed"]).render() == e["printed"]
         assert LambdaPoly.parse(e["recomputed"]).render() == e["recomputed"]
+
+
+@pytest.mark.parametrize("flag, q", [("--lam", "-3/7"), ("--l", "-3/7"), ("--lam", "1/2")])
+def test_lambda_abbreviation_takes_value(flag, q, capsys):
+    for argv in (["numbers", "bernoulli", "--nmax", "4"], ["matrix", "A", "--rows", "3"]):
+        status, out, err = run_cli(capsys, *argv, flag, q)
+        assert (status, err) == (0, "")
+        assert out == run_cli(capsys, *argv, f"--lambda={q}")[1]
 
 
 @pytest.mark.parametrize("q", ["0", "1/2", "-1", "-3/7"])

@@ -1,21 +1,33 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degenums.exact import (
     LAM,
     ONE,
     ZERO,
     LambdaPoly,
-    binomial_lambda,
     classical_falling,
-    degenerate_falling,
     format_rat,
+    linear_products,
     parse_rat,
 )
 
 F = Fraction
+
+
+def _binomial(k):
+    # C(k - L, k) = (1-L)(2-L)...(k-L) / k!
+    return linear_products(ONE - LAM, 1, k)[k].scale(F(1, math.factorial(k)))
+
+
+def _falling(x, n):
+    # degenerate falling factorial x(x - L)...(x - (n-1)L)
+    return linear_products(F(x), -LAM, n)[n]
 
 
 # -- rational scalars (backed by fractions.Fraction) -------------------------
@@ -143,32 +155,58 @@ def test_hash_consistency():
 
 
 def test_binomial_lambda_small():
-    assert binomial_lambda(0) == ONE
-    assert binomial_lambda(1) == ONE - LAM
-    assert binomial_lambda(2) == LambdaPoly((1, F(-3, 2), F(1, 2)))
+    assert _binomial(0) == ONE
+    assert _binomial(1) == ONE - LAM
+    assert _binomial(2) == LambdaPoly((1, F(-3, 2), F(1, 2)))
 
 
 def test_binomial_lambda_at_zero_is_one():
     for k in range(31):
-        assert binomial_lambda(k).eval_at(0) == 1
+        assert _binomial(k).eval_at(0) == 1
 
 
 def test_binomial_lambda_degree():
     for k in range(1, 12):
-        assert binomial_lambda(k).degree == k
+        assert _binomial(k).degree == k
 
 
 def test_degenerate_falling_small():
-    assert degenerate_falling(1, 0) == ONE
-    assert degenerate_falling(1, 2) == ONE - LAM
-    assert degenerate_falling(1, 3) == LambdaPoly((1, -3, 2))
-    assert degenerate_falling(0, 3) == ZERO
+    assert _falling(1, 0) == ONE
+    assert _falling(1, 2) == ONE - LAM
+    assert _falling(1, 3) == LambdaPoly((1, -3, 2))
+    assert _falling(0, 3) == ZERO
 
 
 def test_degenerate_falling_at_zero_is_power():
     for x in (F(2), F(1, 2), F(-3, 4)):
         for n in range(21):
-            assert degenerate_falling(x, n).eval_at(0) == x**n
+            assert _falling(x, n).eval_at(0) == x**n
+
+
+_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_linear = st.tuples(_rationals, _rationals).map(LambdaPoly)
+
+
+@settings(deadline=None)
+@given(_linear, _linear, st.integers(0, 8))
+def test_linear_products_are_the_direct_products(a, c, n):
+    prods = linear_products(a, c, n)
+    assert len(prods) == n + 1
+    for m, p in enumerate(prods):
+        direct = ONE
+        for j in range(m):
+            direct = direct * (a + c.scale(j))
+        assert p == direct
+
+
+@settings(deadline=None)
+@given(_rationals, st.integers(0, 8))
+def test_linear_products_at_lambda_zero(x, n):
+    falls = linear_products(x, -LAM, n)
+    binomials = linear_products(ONE - LAM, 1, n)
+    for m in range(n + 1):
+        assert falls[m].eval_at(0) == x**m
+        assert binomials[m].eval_at(0) == math.factorial(m)
 
 
 def test_classical_falling():
@@ -180,9 +218,9 @@ def test_classical_falling():
 
 def test_negative_arguments_rejected():
     with pytest.raises(ValueError):
-        binomial_lambda(-1)
+        linear_products(ONE - LAM, 1, -1)
     with pytest.raises(ValueError):
-        degenerate_falling(1, -1)
+        linear_products(1, -LAM, -1)
     with pytest.raises(ValueError):
         classical_falling(LAM, -2)
 
@@ -226,6 +264,9 @@ def test_parse_rejects_malformed():
         "1 - 1*L",
     ):
         with pytest.raises(ValueError):
+            LambdaPoly.parse(bad)
+    for bad in ("2/4", "1/1", "01", "1*L + 1", "1 + 1*L + 2*L"):
+        with pytest.raises(ValueError, match="not in canonical form"):
             LambdaPoly.parse(bad)
     with pytest.raises(ValueError, match="zero coefficient"):
         LambdaPoly.parse("1 + 0")

@@ -5,18 +5,13 @@ import pytest
 
 from degenums.exact import LAM, ONE, ZERO, LambdaPoly
 from degenums.numbers import (
-    bell_deg,
     bell_deg_sequence,
-    bernoulli_deg,
-    bernoulli_deg_poly,
     bernoulli_deg_poly_sequence,
     bernoulli_deg_sequence,
     classical_bell,
     classical_bernoulli,
     classical_euler,
     classical_oracles,
-    euler_deg,
-    euler_deg_poly,
     euler_deg_poly_sequence,
     euler_deg_sequence,
     stirling1_table,
@@ -124,21 +119,21 @@ def test_bernoulli_deg_values():
     expected = ["1", "-1/2 + 1/2*L", "1/6 + -1/6*L^2", "-1/4*L + 1/4*L^3",
                 "-1/30 + 2/3*L^2 + -19/30*L^4"]
     assert bernoulli_deg_sequence(4) == [P(s) for s in expected]
-    assert bernoulli_deg(2) == P("1/6 + -1/6*L^2")
+    assert bernoulli_deg_sequence(2)[2] == P("1/6 + -1/6*L^2")
 
 
 def test_euler_deg_values():
     expected = ["1", "-1/2", "1/2*L", "1/4 + -1*L^2", "-3/2*L + 3*L^3"]
     assert euler_deg_sequence(4) == [P(s) for s in expected]
-    assert euler_deg(2) == LAM.scale(F(1, 2))
+    assert euler_deg_sequence(2)[2] == LAM.scale(F(1, 2))
 
 
 def test_bell_deg_values():
     expected = ["1", "1", "2 + -1*L", "5 + -6*L + 2*L^2",
                 "15 + -30*L + 22*L^2 + -6*L^3"]
     assert bell_deg_sequence(4) == [P(s) for s in expected]
-    assert bell_deg(3) == P("5 + -6*L + 2*L^2")
-    assert bell_deg(2, 1) == P("2 + -1*L")
+    assert bell_deg_sequence(3)[3] == P("5 + -6*L + 2*L^2")
+    assert bell_deg_sequence(2, 1)[2] == P("2 + -1*L")
 
 
 def test_classical_limits_up_to_20():
@@ -185,17 +180,17 @@ def test_bell_exponential_series_cross_check():
 
 
 def test_bernoulli_poly_values():
-    assert bernoulli_deg_poly(1, 1) == P("1/2 + 1/2*L")
+    assert bernoulli_deg_poly_sequence(1, 1)[1] == P("1/2 + 1/2*L")
     for n in range(11):
-        assert bernoulli_deg_poly(n, 0) == bernoulli_deg(n)
-    assert bernoulli_deg_poly(2, 1).eval_at(0) == F(1, 6)  # classical value at 1
+        assert bernoulli_deg_poly_sequence(n, 0)[n] == bernoulli_deg_sequence(n)[n]
+    assert bernoulli_deg_poly_sequence(2, 1)[2].eval_at(0) == F(1, 6)  # classical value at 1
 
 
 def test_euler_poly_values():
-    assert euler_deg_poly(1, 1) == LambdaPoly((F(1, 2),))
-    assert euler_deg_poly(2, 1) == LAM.scale(F(-1, 2))
+    assert euler_deg_poly_sequence(1, 1)[1] == LambdaPoly((F(1, 2),))
+    assert euler_deg_poly_sequence(2, 1)[2] == LAM.scale(F(-1, 2))
     for n in range(11):
-        assert euler_deg_poly(n, 0) == euler_deg(n)
+        assert euler_deg_poly_sequence(n, 0)[n] == euler_deg_sequence(n)[n]
 
 
 def _classical_poly_at_one(values):
