@@ -10,7 +10,6 @@ from .exact import (
     ONE,
     ZERO,
     LambdaPoly,
-    Rat,
     classical_falling,
     format_rat,
     parse_rat,

@@ -12,7 +12,8 @@ trapezoid: row n keeps columns 0..rows-n.  With the bundled seeds the final
 sequences are the degenerate Bernoulli, Euler and Bell numbers (kind B) and
 the degenerate Bernoulli and Euler polynomial values at 1 (kind A); the
 closed forms and generating-function transforms here give independent
-routes to the same values.
+routes to the same values.  The seeds and the table run take the value of L
+as ``lam``: LAM (the default) for polynomials in L, or a rational value.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import LAM, ONE, ZERO, LambdaPoly, linear_products
+from .exact import LAM, ONE, ZERO, LambdaPoly, Value, linear_products, ring_one, times_linear
 from .numbers import stirling2_table
 from .series import TruncatedSeries, e_lambda_series, log_lambda_series
 
@@ -48,7 +49,7 @@ class SequenceSpec:
     """
 
     variant: str
-    custom_values: tuple[LambdaPoly, ...] | None = None
+    custom_values: tuple[Value, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.variant not in SEED_VARIANTS:
@@ -72,19 +73,22 @@ class SequenceSpec:
     def custom(cls, values) -> "SequenceSpec":
         return cls("custom", tuple(values))
 
-    def values(self, count: int) -> list[LambdaPoly]:
-        """Seed entries 0..count-1; fails with the required length for a
-        custom seed that is too short."""
+    def values(self, count: int, lam: Value = LAM) -> list[Value]:
+        """Seed entries 0..count-1, as polynomials in L or at L = lam; fails
+        with the required length for a custom seed that is too short.  A
+        custom seed's values are returned as given, so for a rational lam
+        they must already be evaluated there."""
         if count < 0:
             raise ValueError("seed length must be nonnegative")
         if self.variant == "bernoulli_seed":
-            prods = linear_products(ONE - LAM, 1, count)[:count]
-            return [p.scale(Fraction(1, math.factorial(n + 1))) for n, p in enumerate(prods)]
+            prods = linear_products(1 - lam, 1, count)[:count]
+            return [p * Fraction(1, math.factorial(n + 1)) for n, p in enumerate(prods)]
+        one = ring_one(lam)
         if self.variant == "half_powers":
-            return [LambdaPoly.constant(Fraction(1, 2**n)) for n in range(count)]
+            return [one * Fraction(1, 2**n) for n in range(count)]
         if self.variant == "bell_seed":
             return [
-                LambdaPoly.constant(Fraction((-1) ** n, math.factorial(n)) if n else 0)
+                one * (Fraction((-1) ** n, math.factorial(n)) if n else 0)
                 for n in range(count)
             ]
         assert self.custom_values is not None
@@ -100,9 +104,9 @@ class SequenceSpec:
 class AlgorithmTable:
     """Trapezoidal run of the recurrence: rows[n] holds columns 0..row_count-n."""
 
-    rows: tuple[tuple[LambdaPoly, ...], ...]
+    rows: tuple[tuple[Value, ...], ...]
 
-    def entry(self, n: int, m: int) -> LambdaPoly:
+    def entry(self, n: int, m: int) -> Value:
         if not 0 <= n <= self.row_count:
             raise IndexError(f"row {n} outside table of {self.row_count + 1} rows")
         if not 0 <= m < len(self.rows[n]):
@@ -114,27 +118,27 @@ class AlgorithmTable:
         return len(self.rows) - 1
 
 
-def build_table(kind: str, seed: SequenceSpec, rows: int) -> AlgorithmTable:
-    """Run the kind-B or kind-A recurrence for the given number of rows."""
+def build_table(kind: str, seed: SequenceSpec, rows: int, lam: Value = LAM) -> AlgorithmTable:
+    """Run the kind-B or kind-A recurrence for the given number of rows, over
+    polynomials in L (lam = LAM) or at L = lam."""
     if kind not in ("B", "A"):
         raise ValueError(f"kind must be 'B' or 'A', got {kind!r}")
     if rows < 0:
         raise ValueError("rows must be nonnegative")
     shift = 0 if kind == "B" else 1
-    table: list[tuple[LambdaPoly, ...]] = [tuple(seed.values(rows + 1))]
+    table: list[tuple[Value, ...]] = [tuple(seed.values(rows + 1, lam))]
     for n in range(1, rows + 1):
         prev = table[-1]
         table.append(
             tuple(
-                prev[m] * LambdaPoly((m + shift, -(n - 1)))
-                - prev[m + 1].scale(m + 1)
+                times_linear(prev[m], m + shift, 1 - n, lam) - prev[m + 1] * (m + 1)
                 for m in range(len(prev) - 1)
             )
         )
     return AlgorithmTable(tuple(table))
 
 
-def final_sequence(table: AlgorithmTable) -> list[LambdaPoly]:
+def final_sequence(table: AlgorithmTable) -> list[Value]:
     """Column 0 of the trapezoid, one value per row."""
     return [row[0] for row in table.rows]
 

@@ -463,6 +463,29 @@ def _id_derivation_rows(nmax: int, order: int) -> tuple[int, list[Pair]]:
     return cap, pairs
 
 
+def _lane_values(lam: Fraction | LambdaPoly, cap: int) -> list:
+    # every value the recurrences give at one value of L, flattened
+    values = [v for row in stirling2_table(cap, lam).entries for v in row]
+    values += bernoulli_deg_sequence(cap, lam) + euler_deg_sequence(cap, lam)
+    values += bell_deg_sequence(cap, lam=lam)
+    values += bernoulli_deg_poly_sequence(cap, 1, lam) + euler_deg_poly_sequence(cap, 1, lam)
+    for kind in ("B", "A"):
+        for seed in _all_seeds():
+            values += [v for row in build_table(kind, seed, cap, lam).rows for v in row]
+    return values
+
+
+def _id_scalar_lane(nmax: int, order: int) -> tuple[int, list[Pair]]:
+    # symbolic then evaluated against the recurrences run at the rational L
+    cap = min(nmax, 12)
+    symbolic = _lane_values(LAM, cap)
+    pairs: list[Pair] = []
+    for lam in (Fraction(1, 2), Fraction(-3, 7), Fraction(2)):
+        lane = _lane_values(lam, cap)
+        pairs.extend(_const_pair(p.eval_at(lam), v) for p, v in zip(symbolic, lane))
+    return cap, pairs
+
+
 _IDENTITY_REGISTRY: tuple[tuple[str, object], ...] = (
     ("stirling2_three_way", _id_stirling2_three_way),
     ("classical_limits_at_lambda0", _id_classical_limits),
@@ -476,6 +499,7 @@ _IDENTITY_REGISTRY: tuple[tuple[str, object], ...] = (
     ("classical_table_degeneration", _id_classical_degeneration),
     ("exp_log_compositional_inverse", _id_exp_log_inverse),
     ("derivation_operator_rows", _id_derivation_rows),
+    ("scalar_lane_matches_symbolic", _id_scalar_lane),
 )
 
 IDENTITY_NAMES: tuple[str, ...] = tuple(name for name, _ in _IDENTITY_REGISTRY)

@@ -6,7 +6,10 @@ runs), ``verify`` (identity suite, nonzero exit on any failure) and
 findings).  Output is a structured JSON record by default or a flat
 tab-separated table with ``--format flat``; every polynomial uses the
 canonical text rendering.  A rational substitution for L can be supplied
-as ``--lambda p/q``; decimals are rejected to preserve exactness.
+as ``--lambda p/q``; decimals are rejected to preserve exactness.  With it,
+``numbers`` and ``matrix`` run their recurrences at that value directly.
+Sizes are bounded: ``numbers --nmax`` and ``matrix --rows`` in 0..200,
+``verify --nmax`` and ``--order`` in 0..30.
 
 Exit statuses: 0 success, 1 verification failure, 2 usage or input error.
 """
@@ -19,16 +22,19 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import TextIO
 
 from . import numbers as num
 from .algorithms import SequenceSpec, build_table
 from .audit import audit_printed_matrices, run_identity_suite
-from .exact import LambdaPoly, format_rat, parse_rat
+from .exact import LAM, LambdaPoly, Value, format_rat, parse_rat
 
 __all__ = ["OutputRecord", "build_parser", "main", "console_main"]
 
 VERIFY_NMAX_CEILING = 30
 VERIFY_ORDER_CEILING = 30
+NUMBERS_NMAX_CEILING = 200
+MATRIX_ROWS_CEILING = 200
 
 _SEED_NAMES = {
     "bernoulli": SequenceSpec.bernoulli,
@@ -37,11 +43,11 @@ _SEED_NAMES = {
 }
 
 _SEQUENCE_FAMILIES = {
-    "bernoulli": lambda nmax: num.bernoulli_deg_sequence(nmax),
-    "euler": lambda nmax: num.euler_deg_sequence(nmax),
-    "bell": lambda nmax: num.bell_deg_sequence(nmax),
-    "bernoulli_at_one": lambda nmax: num.bernoulli_deg_poly_sequence(nmax, 1),
-    "euler_at_one": lambda nmax: num.euler_deg_poly_sequence(nmax, 1),
+    "bernoulli": lambda nmax, lam: num.bernoulli_deg_sequence(nmax, lam),
+    "euler": lambda nmax, lam: num.euler_deg_sequence(nmax, lam),
+    "bell": lambda nmax, lam: num.bell_deg_sequence(nmax, lam=lam),
+    "bernoulli_at_one": lambda nmax, lam: num.bernoulli_deg_poly_sequence(nmax, 1, lam),
+    "euler_at_one": lambda nmax, lam: num.euler_deg_poly_sequence(nmax, 1, lam),
 }
 
 _TRIANGLE_FAMILIES = {
@@ -63,13 +69,20 @@ def _lambda_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _fmt(p: LambdaPoly, lam: Fraction | None) -> str:
-    if lam is None:
-        return p.render()
-    return format_rat(p.eval_at(lam))
+def _fmt(value: Value) -> str:
+    if isinstance(value, LambdaPoly):
+        return value.render()
+    return format_rat(value)
 
 
-def _load_custom_seed(path: str) -> SequenceSpec:
+def _check_size(flag: str, value: int, ceiling: int) -> None:
+    if value < 0:
+        raise ValueError(f"{flag} must be nonnegative")
+    if value > ceiling:
+        raise ValueError(f"{flag} must be in 0..{ceiling}")
+
+
+def _load_custom_seed(path: str, lam: Fraction | None) -> SequenceSpec:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -84,6 +97,8 @@ def _load_custom_seed(path: str) -> SequenceSpec:
             raise ValueError(f"custom seed file {path!r}, line {lineno}: {exc}") from None
     if not values:
         raise ValueError(f"custom seed file {path!r} contains no seed entries")
+    if lam is not None:
+        values = [v.eval_at(lam) for v in values]
     return SequenceSpec.custom(values)
 
 
@@ -91,43 +106,40 @@ def _load_custom_seed(path: str) -> SequenceSpec:
 
 
 def _cmd_numbers(args: argparse.Namespace) -> OutputRecord:
-    if args.nmax < 0:
-        raise ValueError("--nmax must be nonnegative")
+    _check_size("--nmax", args.nmax, NUMBERS_NMAX_CEILING)
     lam = args.lam
+    point = LAM if lam is None else lam
     payload: dict = {
         "family": args.family,
         "nmax": args.nmax,
         "lambda": format_rat(lam) if lam is not None else None,
     }
     if args.family in _TRIANGLE_FAMILIES:
-        table = _TRIANGLE_FAMILIES[args.family](args.nmax)
-        payload["rows"] = [
-            [_fmt(table.entry(n, k), lam) for k in range(n + 1)]
-            for n in range(args.nmax + 1)
-        ]
+        table = _TRIANGLE_FAMILIES[args.family](args.nmax, point)
+        payload["rows"] = [[_fmt(v) for v in row] for row in table.entries]
     else:
-        values = _SEQUENCE_FAMILIES[args.family](args.nmax)
-        payload["values"] = [_fmt(v, lam) for v in values]
+        values = _SEQUENCE_FAMILIES[args.family](args.nmax, point)
+        payload["values"] = [_fmt(v) for v in values]
     return OutputRecord("number_table", payload)
 
 
 def _cmd_matrix(args: argparse.Namespace) -> OutputRecord:
-    if args.rows < 0:
-        raise ValueError("--rows must be nonnegative")
+    _check_size("--rows", args.rows, MATRIX_ROWS_CEILING)
     if (args.seed == "custom") != (args.custom_file is not None):
         raise ValueError("--custom-file is required exactly when --seed custom is used")
+    lam = args.lam
+    point = LAM if lam is None else lam
     if args.seed == "custom":
-        seed = _load_custom_seed(args.custom_file)
+        seed = _load_custom_seed(args.custom_file, lam)
     else:
         seed = _SEED_NAMES[args.seed]()
-    table = build_table(args.kind, seed, args.rows)
-    lam = args.lam
+    table = build_table(args.kind, seed, args.rows, point)
     payload = {
         "algorithm": args.kind,
         "seed": args.seed,
         "rows": args.rows,
         "lambda": format_rat(lam) if lam is not None else None,
-        "table": [[_fmt(v, lam) for v in row] for row in table.rows],
+        "table": [[_fmt(v) for v in row] for row in table.rows],
     }
     return OutputRecord("matrix", payload)
 
@@ -173,37 +185,40 @@ def _cmd_audit(args: argparse.Namespace) -> OutputRecord:
 # -- rendering ---------------------------------------------------------------
 
 
-def to_structured(record: OutputRecord) -> str:
-    return json.dumps({"kind": record.kind, "payload": record.payload}, indent=2) + "\n"
+# Both writers send the record to the stream piece by piece, so a large table
+# is never held a second time as one string.
 
 
-def to_flat(record: OutputRecord) -> str:
+def to_structured(record: OutputRecord, out: TextIO) -> None:
+    json.dump({"kind": record.kind, "payload": record.payload}, out, indent=2)
+    out.write("\n")
+
+
+def to_flat(record: OutputRecord, out: TextIO) -> None:
     p = record.payload
-    lines: list[str] = []
     if record.kind == "number_table":
         if "rows" in p:
             for n, row in enumerate(p["rows"]):
                 for k, value in enumerate(row):
-                    lines.append(f"{n}\t{k}\t{value}")
+                    out.write(f"{n}\t{k}\t{value}\n")
         else:
             for n, value in enumerate(p["values"]):
-                lines.append(f"{n}\t{value}")
+                out.write(f"{n}\t{value}\n")
     elif record.kind == "matrix":
         for n, row in enumerate(p["table"]):
             for m, value in enumerate(row):
-                lines.append(f"{n}\t{m}\t{value}")
+                out.write(f"{n}\t{m}\t{value}\n")
     elif record.kind == "identity_report":
         for r in p["results"]:
             state = "true" if r["pass"] else "false"
-            lines.append(f"{r['name']}\t{r['max_tested']}\t{state}")
+            out.write(f"{r['name']}\t{r['max_tested']}\t{state}\n")
     else:
         for r in p["entries"]:
             state = "true" if r["match"] else "false"
-            lines.append(
+            out.write(
                 f"{r['matrix']}\t{r['row']}\t{r['col']}\t"
-                f"{r['printed']}\t{r['recomputed']}\t{state}"
+                f"{r['printed']}\t{r['recomputed']}\t{state}\n"
             )
-    return "".join(line + "\n" for line in lines)
 
 
 # -- entry points --------------------------------------------------------------
@@ -302,8 +317,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    rendered = to_structured(record) if args.format == "structured" else to_flat(record)
-    sys.stdout.write(rendered)
+    (to_structured if args.format == "structured" else to_flat)(record, sys.stdout)
     if failed:
         print(f"verification failed: {', '.join(failed)}", file=sys.stderr)
         status = 1

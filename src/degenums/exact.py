@@ -1,9 +1,9 @@
 """Exact scalars and polynomials in the degeneracy parameter.
 
-Scalars are arbitrary-precision rationals (``fractions.Fraction``, aliased
-``Rat``).  ``LambdaPoly`` is a dense univariate polynomial in the degeneracy
-parameter L over the rationals; it is the value type for every quantity in
-this package, since all of them are polynomials in L.
+Scalars are arbitrary-precision rationals (``fractions.Fraction``).
+``LambdaPoly`` is a dense univariate polynomial in the degeneracy parameter
+L over the rationals; it is the value type for every quantity in this
+package, since all of them are polynomials in L.
 
 Internally a polynomial stores an integer coefficient vector over a single
 positive denominator, which keeps convolution and accumulation in plain
@@ -26,18 +26,17 @@ from fractions import Fraction
 from typing import Iterable
 
 __all__ = [
-    "Rat",
     "LambdaPoly",
     "ZERO",
     "ONE",
     "LAM",
     "format_rat",
     "parse_rat",
+    "ring_one",
+    "times_linear",
     "linear_products",
     "classical_falling",
 ]
-
-Rat = Fraction
 
 Scalar = int | Fraction
 
@@ -60,15 +59,6 @@ def parse_rat(text: str) -> Fraction:
     return Fraction(s)
 
 
-def _gcd_all(nums: Iterable[int], den: int) -> int:
-    g = den
-    for n in nums:
-        g = math.gcd(g, n)
-        if g == 1:
-            return 1
-    return g
-
-
 class LambdaPoly:
     """Immutable dense polynomial in L with exact rational coefficients."""
 
@@ -84,7 +74,7 @@ class LambdaPoly:
             fracs.pop()
         den = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
         nums = [int(f * den) for f in fracs]
-        g = _gcd_all(nums, den)
+        g = math.gcd(den, *nums)
         object.__setattr__(self, "_num", tuple(n // g for n in nums))
         object.__setattr__(self, "_den", den // g)
 
@@ -95,9 +85,9 @@ class LambdaPoly:
             nums.pop()
         if not nums:
             den = 1
-        g = _gcd_all(nums, den)
+        g = math.gcd(den, *nums)
         p = object.__new__(cls)
-        object.__setattr__(p, "_num", tuple(n // g for n in nums))
+        object.__setattr__(p, "_num", tuple(nums) if g == 1 else tuple(n // g for n in nums))
         object.__setattr__(p, "_den", den // g)
         return p
 
@@ -195,13 +185,25 @@ class LambdaPoly:
             [n * q.numerator for n in self._num], self._den * q.denominator
         )
 
+    def mul_linear(self, a: int, b: int) -> "LambdaPoly":
+        """Multiply by a + b L for integers a and b, straight from the integer
+        vector: coefficient i is a num[i] + b num[i-1]."""
+        num = self._num
+        nums = [a * u + b * v for u, v in zip(num + (0,), (0,) + num)]
+        return LambdaPoly._raw(nums, self._den)
+
     def eval_at(self, q: Scalar) -> Fraction:
-        """Substitute a rational value for L (Horner)."""
+        """Substitute a rational value for L (Horner over the integers: with
+        q = a/b and degree d, the numerator is sum_i num[i] a^i b^(d-i))."""
+        if not self._num:
+            return Fraction(0)
         q = Fraction(q)
-        acc = Fraction(0)
+        a, b = q.numerator, q.denominator
+        acc, bpow = 0, 1
         for n in reversed(self._num):
-            acc = acc * q + n
-        return acc / self._den
+            acc = acc * a + n * bpow
+            bpow *= b
+        return Fraction(acc, self._den * (bpow // b))
 
     # -- identity ----------------------------------------------------------
 
@@ -267,14 +269,35 @@ ZERO = LambdaPoly()
 ONE = LambdaPoly((1,))
 LAM = LambdaPoly((0, 1))
 
+# The recurrences of this package run over two rings: polynomials in L (the
+# value of L passed as ``lam`` is LAM) and the rationals (``lam`` is the
+# Fraction at which L is evaluated).  ``Value`` is an element of either.
+# Both share +, - and *, and multiplying by an int or a Fraction is scaling
+# in either; the two helpers below are all the rest that tells them apart.
+Value = LambdaPoly | Scalar
 
-def linear_products(a: LambdaPoly | Scalar, c: LambdaPoly | Scalar, n: int) -> list[LambdaPoly]:
+
+def ring_one(lam: Value) -> Value:
+    """The 1 of the ring that lam lives in: ONE for LAM, 1 at a rational."""
+    return lam * 0 + 1
+
+
+def times_linear(x: Value, a: int, b: int, lam: Value) -> Value:
+    """x * (a + b lam) for integers a and b, by ``LambdaPoly.mul_linear``
+    when lam is LAM itself."""
+    if lam is LAM:
+        return x.mul_linear(a, b)
+    return x * (a + b * lam)
+
+
+def linear_products(a: Value, c: Value, n: int) -> list[Value]:
     """[prod_{j<m} (a + j c) for m = 0..n], the running products of linear
     factors in L: a = x, c = -L gives the degenerate falling factorials
-    (x)_{m,L}, and a = 1 - L, c = 1 gives (1-L)(2-L)...(m-L) = m! C(m-L, m)."""
+    (x)_{m,L}, and a = 1 - L, c = 1 gives (1-L)(2-L)...(m-L) = m! C(m-L, m).
+    With a rational lam in place of L the products are rationals."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    out = [ONE]
+    out = [ring_one(a + c)]
     for j in range(n):
         out.append(out[-1] * (a + c * j))
     return out

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .exact import LAM, ONE, ZERO, LambdaPoly, Scalar, linear_products
+from .exact import LAM, ONE, ZERO, LambdaPoly, Scalar, Value, linear_products
 
 __all__ = [
     "TruncatedSeries",
@@ -236,10 +236,11 @@ def apply_weighted_derivation(f: TruncatedSeries, n: int) -> TruncatedSeries:
 @dataclass(frozen=True)
 class StirlingTable:
     """Triangular table of degenerate Stirling numbers (either kind),
-    entries[n][k] for k <= n.  Entries outside the triangle read as zero.
+    entries[n][k] for k <= n, as polynomials in L or as rationals at one
+    value of L.  Entries outside the triangle read as zero.
     """
 
-    entries: tuple[tuple[LambdaPoly, ...], ...]
+    entries: tuple[tuple[Value, ...], ...]
 
     def __post_init__(self) -> None:
         for n, row in enumerate(self.entries):
@@ -250,20 +251,21 @@ class StirlingTable:
     def nmax(self) -> int:
         return len(self.entries) - 1
 
-    def entry(self, n: int, k: int) -> LambdaPoly:
+    def entry(self, n: int, k: int) -> Value:
         if not 0 <= n <= self.nmax:
             raise IndexError(f"row {n} outside table of size {self.nmax}")
         if k < 0 or k > n:
-            return ZERO
+            return self.entries[0][0] * 0
         return self.entries[n][k]
 
-    def weighted_sums(self, weights: Sequence[LambdaPoly]) -> list[LambdaPoly]:
+    def weighted_sums(self, weights: Sequence[Value]) -> list[Value]:
         """[sum_k entry(n, k) * weights[k] for n = 0..nmax]: every weighted
-        Stirling sum in the package goes through this one kernel."""
+        Stirling sum in the package goes through this one kernel.  A sum
+        stays in the ring of the entries (weights may be plain rationals)."""
         if len(weights) <= self.nmax:
             raise ValueError(f"need {self.nmax + 1} weights, got {len(weights)}")
         return [
-            sum((c * w for c, w in zip(row, weights)), ZERO)
+            sum((c * w for c, w in zip(row[1:], weights[1:])), row[0] * weights[0])
             for row in self.entries
         ]
 

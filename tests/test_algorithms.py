@@ -228,6 +228,22 @@ def test_custom_seed_reproduces_bundled_run():
     assert build_table("B", custom, 6).rows == build_table("B", SequenceSpec.bernoulli(), 6).rows
 
 
+@pytest.mark.parametrize("lam", [F(1, 2), F(-3, 7), F(0), F(2)])
+def test_scalar_lane_table_runs(lam):
+    # Seeds and table runs at a rational L are rationals equal to the
+    # symbolic run evaluated there; a custom seed is evaluated first.
+    custom = SequenceSpec.custom([P("1 + -1/2*L"), P("-2/3*L^2"), ZERO, P("5")] * 3)
+    custom_at = SequenceSpec.custom([v.eval_at(lam) for v in custom.values(12)])
+    for kind in ("B", "A"):
+        for seed, seed_at in [(s, s) for s in ALL_SEEDS] + [(custom, custom_at)]:
+            lane = build_table(kind, seed_at, 10, lam)
+            symbolic = build_table(kind, seed, 10)
+            assert all(type(v) is F for row in lane.rows for v in row)
+            assert lane.rows == tuple(
+                tuple(p.eval_at(lam) for p in row) for row in symbolic.rows
+            )
+
+
 def test_lambda_zero_degeneration_small():
     from degenums.audit import classical_algorithm_table
 

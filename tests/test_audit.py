@@ -152,6 +152,50 @@ def test_identity_suite_caps():
     assert caps["derivation_operator_rows"] == 6
 
 
+_SEED_IDENTITIES = (
+    "stirling2_three_way",
+    "classical_limits_at_lambda0",
+    "bernoulli_euler_series_match",
+    "bell_series_match",
+    "stirling1_inversions",
+    "final_vs_closed_form",
+    "named_family_identification",
+    "ogf_egf_transforms",
+    "stirling2_shift_identity",
+    "classical_table_degeneration",
+    "exp_log_compositional_inverse",
+    "derivation_operator_rows",
+)
+
+
+def test_scalar_lane_identity_is_appended():
+    assert IDENTITY_NAMES == _SEED_IDENTITIES + ("scalar_lane_matches_symbolic",)
+    for nmax, cap in ((30, 12), (7, 7), (0, 0)):
+        result = run_identity_suite(nmax, 0)[-1]
+        assert (result.name, result.max_tested, result.passed) == (
+            "scalar_lane_matches_symbolic", cap, True
+        )
+    faulty = run_identity_suite(4, 4, inject_fault="scalar_lane_matches_symbolic")
+    assert [r.name for r in faulty if not r.passed] == ["scalar_lane_matches_symbolic"]
+
+
+def test_identity_suite_builds_each_stirling_row_once(monkeypatch):
+    # each Stirling cell is one times_linear call, named by (lam, k, -n)
+    from degenums import numbers
+
+    cells = []
+    real = numbers.times_linear
+
+    def counting(x, a, b, lam):
+        cells.append((lam, a, b))
+        return real(x, a, b, lam)
+
+    monkeypatch.setattr(numbers, "_stirling2_rows", {})
+    monkeypatch.setattr(numbers, "times_linear", counting)
+    assert all(r.passed for r in run_identity_suite(30, 30))
+    assert cells and len(cells) == len(set(cells))
+
+
 def test_identity_suite_degenerate_ranges():
     assert all(r.passed for r in run_identity_suite(0, 0))
 

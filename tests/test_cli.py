@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,10 +8,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import degenums
 from degenums.cli import main
-from degenums.exact import LambdaPoly, parse_rat
+from degenums.exact import LambdaPoly, format_rat, parse_rat
 
 F = Fraction
 
@@ -71,7 +75,23 @@ def test_numbers_negative_nmax(capsys):
     assert "nonnegative" in err
 
 
+def test_numbers_nmax_ceiling(capsys):
+    status, out, err = run_cli(capsys, "numbers", "bernoulli", "--nmax", "201")
+    assert (status, out) == (2, "")
+    assert "--nmax must be in 0..200" in err
+    status, _, _ = run_cli(capsys, "numbers", "stirling1", "--nmax", "201", "--lambda", "1/2")
+    assert status == 2
+
+
 # -- matrix ----------------------------------------------------------------------
+
+
+def test_matrix_rows_ceiling(capsys):
+    status, out, err = run_cli(capsys, "matrix", "B", "--rows", "201")
+    assert (status, out) == (2, "")
+    assert "--rows must be in 0..200" in err
+    status, _, err = run_cli(capsys, "matrix", "A", "--rows", "-1")
+    assert status == 2 and "nonnegative" in err
 
 
 def test_matrix_half_rows1(capsys):
@@ -323,6 +343,77 @@ def test_lambda_substitution_commutes(q, capsys):
         assert [parse_rat(v) for v in eval_row] == [
             LambdaPoly.parse(text).eval_at(lam) for text in sym_row
         ]
+
+
+def _capture(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(argv)
+    return status, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def seed_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("seeds")
+
+
+_COMMANDS = [
+    ["numbers", family]
+    for family in ("bernoulli", "euler", "bell", "bernoulli_at_one", "euler_at_one",
+                   "stirling1", "stirling2")
+] + [
+    ["matrix", kind, "--seed", seed]
+    for kind in ("A", "B")
+    for seed in ("bernoulli", "half", "bell", "custom")
+]
+_seed_polys = st.lists(
+    st.lists(st.fractions(-9, 9, max_denominator=9), max_size=4).map(LambdaPoly),
+    min_size=11,
+    max_size=11,
+)
+
+
+@pytest.mark.parametrize("command", _COMMANDS, ids=" ".join)
+@settings(deadline=None, max_examples=15)
+@given(
+    lam=st.fractions(min_value=-4, max_value=4, max_denominator=9),
+    size=st.integers(0, 10),
+    custom=_seed_polys,
+)
+def test_lambda_output_is_the_evaluated_symbolic_output(command, seed_dir, lam, size, custom):
+    # --lambda runs the recurrences at lam; its output must read exactly as
+    # the symbolic output with every cell evaluated at lam.
+    argv = command + ["--nmax" if command[0] == "numbers" else "--rows", str(size)]
+    if "custom" in command:
+        path = seed_dir / "seed.txt"
+        path.write_text("".join(p.render() + "\n" for p in custom), encoding="utf-8")
+        argv += ["--custom-file", str(path)]
+
+    def at_lam(text):
+        return format_rat(LambdaPoly.parse(text).eval_at(lam))
+
+    runs = {}
+    for fmt in ("structured", "flat"):
+        for lam_flag in ([], [f"--lambda={format_rat(lam)}"]):
+            status, out, err = _capture(argv + ["--format", fmt] + lam_flag)
+            assert (status, err) == (0, "")
+            runs[fmt, bool(lam_flag)] = out
+
+    doc = json.loads(runs["structured", False])
+    payload = doc["payload"]
+    payload["lambda"] = format_rat(lam)
+    if "values" in payload:
+        payload["values"] = [at_lam(text) for text in payload["values"]]
+    else:
+        key = "table" if command[0] == "matrix" else "rows"
+        payload[key] = [[at_lam(text) for text in row] for row in payload[key]]
+    assert runs["structured", True] == json.dumps(doc, indent=2) + "\n"
+
+    flat = []
+    for line in runs["flat", False].splitlines():
+        index, text = line.rsplit("\t", 1)
+        flat.append(f"{index}\t{at_lam(text)}\n")
+    assert runs["flat", True] == "".join(flat)
 
 
 # -- console entry point ---------------------------------------------------------------

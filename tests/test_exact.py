@@ -15,6 +15,8 @@ from degenums.exact import (
     format_rat,
     linear_products,
     parse_rat,
+    ring_one,
+    times_linear,
 )
 
 F = Fraction
@@ -207,6 +209,55 @@ def test_linear_products_at_lambda_zero(x, n):
     for m in range(n + 1):
         assert falls[m].eval_at(0) == x**m
         assert binomials[m].eval_at(0) == math.factorial(m)
+
+
+_polys = st.lists(_rationals, max_size=6).map(LambdaPoly)
+_ints = st.integers(-12, 12)
+
+
+@settings(deadline=None)
+@given(_polys, _ints, _ints)
+def test_mul_linear_is_the_product(p, a, b):
+    # == compares the stored integer vectors, so this also checks that the
+    # product is reduced to canonical form
+    expected = p * LambdaPoly((a, b))
+    assert p.mul_linear(a, b) == expected
+    assert times_linear(p, a, b, LAM) == expected
+
+
+def test_mul_linear_edge_cases():
+    p = LambdaPoly((F(1, 2), 3))
+    assert ZERO.mul_linear(3, -7) == ZERO
+    assert p.mul_linear(0, 0) == ZERO
+    assert p.mul_linear(0, 1) == p * LAM
+    assert p.mul_linear(5, 0) == p.scale(5)
+    # 1/2 * (2 + 4L) = 1 + 2L and 3/4 (1 + 2L) * (2 - 6L) = 3/2 - 3/2 L - 9 L^2:
+    # the common factors cancel against the denominator
+    assert LambdaPoly.constant(F(1, 2)).mul_linear(2, 4) == LambdaPoly((1, 2))
+    q = LambdaPoly((F(3, 4), F(3, 2)))
+    assert q.mul_linear(2, -6) == LambdaPoly((F(3, 2), F(-3, 2), -9))
+
+
+@settings(deadline=None)
+@given(_polys, _rationals)
+def test_eval_at_is_the_substitution(p, q):
+    assert p.eval_at(q) == sum((c * q**i for i, c in enumerate(p.coeffs)), F(0))
+    assert type(p.eval_at(q)) is F
+
+
+@settings(deadline=None)
+@given(_polys, _ints, _ints, _rationals)
+def test_times_linear_commutes_with_evaluation(p, a, b, q):
+    assert times_linear(p.eval_at(q), a, b, q) == p.mul_linear(a, b).eval_at(q)
+
+
+def test_ring_one_and_rational_linear_products():
+    assert ring_one(LAM) == ONE and isinstance(ring_one(LAM), LambdaPoly)
+    assert ring_one(F(-3, 7)) == 1 and type(ring_one(F(-3, 7))) is F
+    q = F(2, 5)
+    falls = linear_products(F(3), -q, 4)
+    assert all(type(v) is F for v in falls)
+    assert falls == [v.eval_at(q) for v in linear_products(F(3), -LAM, 4)]
 
 
 def test_classical_falling():

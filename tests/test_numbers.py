@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from degenums import numbers
 from degenums.exact import LAM, ONE, ZERO, LambdaPoly
 from degenums.numbers import (
     bell_deg_sequence,
@@ -108,6 +109,72 @@ def test_table_entry_bounds():
     assert t.entry(3, -1) == ZERO
     with pytest.raises(IndexError):
         t.entry(5, 0)
+
+
+def test_table_entry_outside_triangle_at_a_rational_lambda():
+    t = stirling2_table(4, F(1, 2))
+    assert t.entry(3, 4) == 0 and type(t.entry(3, 4)) is F
+
+
+def test_stirling2_rows_are_built_once(monkeypatch):
+    # Every cell of a triangle is one times_linear call; record them with an
+    # empty row store, then run families that all read the same triangles.
+    calls = []
+    real = numbers.times_linear
+
+    def counting(x, a, b, lam):
+        calls.append((lam, a, b))
+        return real(x, a, b, lam)
+
+    monkeypatch.setattr(numbers, "_stirling2_rows", {})
+    monkeypatch.setattr(numbers, "times_linear", counting)
+    fresh = stirling2_table(20)
+    assert len(calls) == 20 * 21 // 2
+    bernoulli_deg_sequence(12)
+    euler_deg_sequence(20)
+    bell_deg_sequence(24, 2)
+    euler_deg_poly_sequence(15, F(1, 3))
+    assert stirling2_table(20) == fresh
+    bell_deg_sequence(9, lam=F(-3, 7))
+    bernoulli_deg_sequence(9, F(-3, 7))
+    assert len(calls) == len(set(calls)) == 24 * 25 // 2 + 9 * 10 // 2
+
+
+def test_stirling2_kept_rows_are_bounded(monkeypatch):
+    store = {}
+    monkeypatch.setattr(numbers, "_stirling2_rows", store)
+    big = stirling2_table(40)
+    assert store == {}
+    small = stirling2_table(20)
+    assert len(store[LAM]) == 21 and small.entries == big.entries[:21]
+    assert stirling2_table(40) == big
+    assert len(store[LAM]) == 21
+    for q in range(1, 7):
+        stirling2_table(3, F(q))
+    assert len(store) <= 4
+
+
+_LANE_POINTS = (F(1, 2), F(-3, 7), F(0), F(5))
+
+
+@pytest.mark.parametrize("lam", _LANE_POINTS)
+def test_scalar_lane_of_every_family(lam):
+    # Every family run at a rational L gives rationals (no value turned back
+    # into a polynomial) equal to the symbolic value evaluated there.
+    nmax = 10
+    runs = [
+        lambda q: bernoulli_deg_sequence(nmax, q),
+        lambda q: euler_deg_sequence(nmax, q),
+        lambda q: bell_deg_sequence(nmax, F(-2, 3), q),
+        lambda q: bernoulli_deg_poly_sequence(nmax, F(1, 2), q),
+        lambda q: euler_deg_poly_sequence(nmax, 1, q),
+        lambda q: [v for row in stirling2_table(nmax, q).entries for v in row],
+        lambda q: [v for row in stirling1_table(nmax, q).entries for v in row],
+    ]
+    for run in runs:
+        lane = run(lam)
+        assert all(type(v) is F for v in lane)
+        assert lane == [p.eval_at(lam) for p in run(LAM)]
 
 
 # -- the number families ---------------------------------------------------------
