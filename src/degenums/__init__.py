@@ -15,12 +15,14 @@ from .exact import (
     parse_rat,
 )
 from .series import (
+    NestedWeights,
     StirlingTable,
     TruncatedSeries,
     apply_weighted_derivation,
     e_lambda_series,
     e_lambda_x_series,
     log_lambda_series,
+    stirling1_from_series,
     stirling2_from_series,
 )
 from .numbers import (

@@ -47,6 +47,7 @@ from .series import (
     e_lambda_series,
     log_lambda_series,
     powers,
+    stirling1_from_series,
     stirling2_from_series,
 )
 
@@ -333,8 +334,19 @@ def _id_bell_series(nmax: int, order: int) -> tuple[int, list[Pair]]:
 
 
 def _id_stirling1_inversions(nmax: int, order: int) -> tuple[int, list[Pair]]:
+    # The first kind's row recurrence against its series triangle and against
+    # the second kind, sum_k S1(n,k) S2(k,m) = [n = m]; then the families'
+    # weighted first-kind sums against closed falling factorials.
     cap = min(nmax, 18)
     s1 = stirling1_table(cap)
+    ser = stirling1_from_series(cap)
+    s2 = stirling2_table(cap)
+    pairs: list[Pair] = []
+    for n in range(cap + 1):
+        pairs.extend(zip(s1.entries[n], ser.entries[n]))
+    for m in range(cap + 1):
+        column = s1.weighted_sums([s2.entry(k, m) for k in range(cap + 1)])
+        pairs.extend((v, ONE if n == m else ZERO) for n, v in enumerate(column))
     bern = bernoulli_deg_sequence(cap)
     euler = euler_deg_sequence(cap)
     bern1 = bernoulli_deg_poly_sequence(cap, 1)
@@ -342,7 +354,6 @@ def _id_stirling1_inversions(nmax: int, order: int) -> tuple[int, list[Pair]]:
     w_bern, w_euler, w_bern1, w_euler1 = (
         s1.weighted_sums(values) for values in (bern, euler, bern1, euler1)
     )
-    pairs: list[Pair] = []
     for n in range(cap + 1):
         fall_n = classical_falling(LambdaPoly((n, -1)), n)
         pairs.append((w_bern[n], fall_n.scale(Fraction((-1) ** n, n + 1))))

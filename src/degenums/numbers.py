@@ -7,20 +7,24 @@ classical oracles at the bottom of this module compute those independently
 (plain Fractions and integers, none of the L machinery) so the limits can
 be cross-checked.
 
-The Bernoulli and Euler numbers are computed from closed weighted sums over
-the second-kind Stirling triangle; the polynomial values at x come from the
-binomial convolution with degenerate falling factorials of x.  Each family
-takes the value of L as ``lam``: LAM (the default) gives polynomials in L, a
-Fraction gives the same numbers at that value, from the same code.
+Both Stirling triangles come from one row recurrence.  The Bernoulli and
+Euler numbers are computed from closed weighted sums over the second-kind
+Stirling triangle; the polynomial values at x come from the binomial
+convolution with degenerate falling factorials of x.  The Bernoulli weights
+and the falling factorials are products of linear factors in L, so those
+sums nest and run by Horner's rule.  Each family takes the value of L as
+``lam``: LAM (the default) gives polynomials in L, a Fraction gives the same
+numbers at that value, from the same code.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Callable
 
-from .exact import LAM, Scalar, Value, linear_products, ring_one, times_linear
-from .series import StirlingTable, egf_power_triangle, log_lambda_series
+from .exact import LAM, Scalar, Value, ring_one, times_linear
+from .series import NestedWeights, StirlingTable
 
 __all__ = [
     "StirlingTable",
@@ -47,6 +51,20 @@ _KEPT_ROWS = 32
 _stirling2_rows: dict[Value, list[tuple]] = {}
 
 
+def _stirling_rows(rows: list[tuple], nmax: int, cell: Callable) -> list[tuple]:
+    # Extend a Stirling triangle to row nmax by
+    #     next(k) = prev(k-1) + cell(prev(k), k, n),
+    # where cell multiplies by the kind's linear factor of row n, column k.
+    for n in range(len(rows) - 1, nmax):
+        prev = rows[-1]
+        rows.append(
+            (cell(prev[0], 0, n),)
+            + tuple(prev[k - 1] + cell(prev[k], k, n) for k in range(1, n + 1))
+            + (prev[n],)
+        )
+    return rows
+
+
 def stirling2_table(nmax: int, lam: Value = LAM) -> StirlingTable:
     """Degenerate Stirling numbers of the second kind by the row recurrence
 
@@ -57,14 +75,7 @@ def stirling2_table(nmax: int, lam: Value = LAM) -> StirlingTable:
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
     kept = _stirling2_rows.get(lam, [(ring_one(lam),)])
-    rows = list(kept)
-    for n in range(len(rows) - 1, nmax):
-        prev = rows[-1]
-        rows.append(
-            (times_linear(prev[0], 0, -n, lam),)
-            + tuple(prev[k - 1] + times_linear(prev[k], k, -n, lam) for k in range(1, n + 1))
-            + (prev[n],)
-        )
+    rows = _stirling_rows(list(kept), nmax, lambda x, k, n: times_linear(x, k, -n, lam))
     if len(kept) < len(rows) <= _KEPT_ROWS:
         if lam not in _stirling2_rows and len(_stirling2_rows) >= 4:
             _stirling2_rows.clear()
@@ -73,25 +84,31 @@ def stirling2_table(nmax: int, lam: Value = LAM) -> StirlingTable:
 
 
 def stirling1_table(nmax: int, lam: Value = LAM) -> StirlingTable:
-    """Degenerate Stirling numbers of the first kind: n! [t^n] log_L(1+t)^k / k!."""
+    """Degenerate Stirling numbers of the first kind, n! [t^n] log_L(1+t)^k / k!,
+    by the row recurrence
+
+        next(k) = prev(k-1) + (k L - n) prev(k),
+
+    as polynomials in L (lam = LAM) or as rationals at L = lam.  No rows are
+    kept, and a cell multiplies by kL - n in the ring directly: every
+    ``times_linear`` call here is one second-kind cell.
+    """
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
-    table = StirlingTable(egf_power_triangle(log_lambda_series(nmax), nmax))
-    if lam is LAM:
-        return table
-    # The series code works over polynomials in L only, so at a rational lam
-    # this triangle is built symbolically and then evaluated.
-    return StirlingTable(tuple(tuple(v.eval_at(lam) for v in row) for row in table.entries))
+    rows = _stirling_rows([(ring_one(lam),)], nmax, lambda x, k, n: x * (k * lam - n))
+    return StirlingTable(tuple(rows))
 
 
 def bernoulli_deg_sequence(nmax: int, lam: Value = LAM) -> list[Value]:
     """Degenerate Bernoulli numbers for n = 0..nmax: weight k is
-    (-1)^k (1-L)(2-L)...(k-L) / (k+1)."""
+    (-1)^k (1-L)(2-L)...(k-L) / (k+1), nested as heads (-1)^k/(k+1) and
+    factors (k+1) - L."""
     return stirling2_table(nmax, lam).weighted_sums(
-        [
-            p * Fraction((-1) ** k, k + 1)
-            for k, p in enumerate(linear_products(1 - lam, 1, nmax))
-        ]
+        NestedWeights(
+            tuple(Fraction((-1) ** k, k + 1) for k in range(nmax + 1)),
+            tuple((k + 1, -1) for k in range(nmax)),
+            lam,
+        )
     )
 
 
@@ -110,15 +127,21 @@ def bell_deg_sequence(nmax: int, x: Scalar = 1, lam: Value = LAM) -> list[Value]
 
 
 def _convolve_at(base: list[Value], x: Fraction, lam: Value) -> list[Value]:
-    # sum_k C(n,k) (x)_{n-k,L} base[k]
-    falls = linear_products(x, -lam, len(base) - 1)
-    return [
-        sum(
-            (falls[n - k] * base[k] * math.comb(n, k) for k in range(1, n + 1)),
-            falls[n] * base[0],
+    # sum_k C(n,k) (x)_{n-k,L} base[k], as a weighted sum over the triangle
+    # C(n,m) base[n-m]: with x = p/q the falling factorial (x)_{m,L} is
+    # prod_{j<m} (p - j q L) / q^m, nested as heads 1/q^m and factors p - j q L.
+    p, q = x.numerator, x.denominator
+    nmax = len(base) - 1
+    pascal = StirlingTable(
+        tuple(tuple(base[n - m] * math.comb(n, m) for m in range(n + 1)) for n in range(nmax + 1))
+    )
+    return pascal.weighted_sums(
+        NestedWeights(
+            tuple(Fraction(1, q**m) for m in range(nmax + 1)),
+            tuple((p, -j * q) for j in range(nmax)),
+            lam,
         )
-        for n in range(len(base))
-    ]
+    )
 
 
 def bernoulli_deg_poly_sequence(nmax: int, x: Scalar, lam: Value = LAM) -> list[Value]:

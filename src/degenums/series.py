@@ -6,9 +6,10 @@ divide by k! at the boundary).  Arithmetic between two series first
 truncates both to the smaller order, so every kept coefficient is exact.
 
 Also here: the degenerate exponential and logarithm series, the iterated
-weighted derivation that generates the rows of the kind-B tables, and the
-extraction of degenerate Stirling numbers of the second kind from powers
-of e_L(t) - 1.
+weighted derivation that generates the rows of the kind-B tables, the
+weighted sums over a Stirling triangle (by Horner's rule when the weights
+come in nested form), and the extraction of degenerate Stirling numbers of
+both kinds from powers of e_L(t) - 1 and log_L(1+t).
 """
 
 from __future__ import annotations
@@ -18,17 +19,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .exact import LAM, ONE, ZERO, LambdaPoly, Scalar, Value, linear_products
+from .exact import LAM, ONE, ZERO, LambdaPoly, Scalar, Value, linear_products, ring_one, times_linear
 
 __all__ = [
     "TruncatedSeries",
     "StirlingTable",
+    "NestedWeights",
     "e_lambda_series",
     "e_lambda_x_series",
     "log_lambda_series",
     "apply_weighted_derivation",
     "powers",
     "egf_power_triangle",
+    "stirling1_from_series",
     "stirling2_from_series",
 ]
 
@@ -233,11 +236,50 @@ def apply_weighted_derivation(f: TruncatedSeries, n: int) -> TruncatedSeries:
     return g
 
 
+class NestedWeights:
+    """Weights in nested form: w_k = heads[k] * prod_{j<k} (a_j + b_j L), with
+    rational heads, integer factors[j] = (a_j, b_j) and L taken at lam (LAM
+    for polynomials in L, a Fraction for the rationals at that value)."""
+
+    __slots__ = ("heads", "factors", "lam")
+
+    def __init__(
+        self, heads: Sequence[Scalar], factors: Sequence[tuple[int, int]], lam: Value = LAM
+    ) -> None:
+        if len(factors) + 1 < len(heads):
+            raise ValueError(f"{len(heads)} heads need {len(heads) - 1} factors")
+        self.heads, self.factors, self.lam = tuple(heads), tuple(factors), lam
+
+    def __len__(self) -> int:
+        return len(self.heads)
+
+    def multiplied_out(self) -> list[Value]:
+        """The plain weight vector [w_0, w_1, ...] from the running products."""
+        out, prod = [], ring_one(self.lam)
+        for k, head in enumerate(self.heads):
+            if k:
+                prod = times_linear(prod, *self.factors[k - 1], self.lam)
+            out.append(prod * head)
+        return out
+
+    def horner(self, terms: Sequence[LambdaPoly]) -> LambdaPoly:
+        """sum_k terms[k] * w_k over polynomials in L by Horner's rule,
+        t_0 h_0 + f_0 (t_1 h_1 + f_1 (t_2 h_2 + ...)): each step is one
+        linear-factor product, one scale and one add, so no step multiplies
+        two polynomials."""
+        top = len(terms) - 1
+        acc = terms[top].scale(self.heads[top])
+        for k in range(top - 1, -1, -1):
+            acc = acc.mul_linear(*self.factors[k]) + terms[k].scale(self.heads[k])
+        return acc
+
+
 @dataclass(frozen=True)
 class StirlingTable:
     """Triangular table of degenerate Stirling numbers (either kind),
     entries[n][k] for k <= n, as polynomials in L or as rationals at one
-    value of L.  Entries outside the triangle read as zero.
+    value of L.  Entries outside the triangle read as zero.  The binomial
+    convolutions of the number families sum over such a triangle too.
     """
 
     entries: tuple[tuple[Value, ...], ...]
@@ -258,12 +300,20 @@ class StirlingTable:
             return self.entries[0][0] * 0
         return self.entries[n][k]
 
-    def weighted_sums(self, weights: Sequence[Value]) -> list[Value]:
+    def weighted_sums(self, weights: Sequence[Value] | NestedWeights) -> list[Value]:
         """[sum_k entry(n, k) * weights[k] for n = 0..nmax]: every weighted
         Stirling sum in the package goes through this one kernel.  A sum
-        stays in the ring of the entries (weights may be plain rationals)."""
+        stays in the ring of the entries (weights may be plain rationals).
+
+        Nested weights over polynomials in L are summed row by row by
+        Horner's rule; at a rational L they are multiplied out once and
+        summed like a plain vector, which is faster over Fractions."""
         if len(weights) <= self.nmax:
             raise ValueError(f"need {self.nmax + 1} weights, got {len(weights)}")
+        if isinstance(weights, NestedWeights):
+            if weights.lam is LAM:
+                return [weights.horner(row) for row in self.entries]
+            weights = weights.multiplied_out()
         return [
             sum((c * w for c, w in zip(row[1:], weights[1:])), row[0] * weights[0])
             for row in self.entries
@@ -307,3 +357,11 @@ def stirling2_from_series(nmax: int) -> StirlingTable:
         raise ValueError("nmax must be nonnegative")
     em1 = e_lambda_series(nmax) - TruncatedSeries.constant(ONE, nmax)
     return StirlingTable(egf_power_triangle(em1, nmax))
+
+
+def stirling1_from_series(nmax: int) -> StirlingTable:
+    """Degenerate Stirling numbers of the first kind read off the series
+    log_L(1+t)^k / k!; an oracle independent of the row recurrence."""
+    if nmax < 0:
+        raise ValueError("nmax must be nonnegative")
+    return StirlingTable(egf_power_triangle(log_lambda_series(nmax), nmax))

@@ -12,6 +12,7 @@ from degenums.audit import (
 )
 from degenums.exact import LAM, ONE, LambdaPoly
 from degenums.numbers import bernoulli_deg_sequence, classical_bernoulli, stirling2_table
+from degenums.series import StirlingTable
 
 F = Fraction
 P = LambdaPoly.parse
@@ -194,6 +195,24 @@ def test_identity_suite_builds_each_stirling_row_once(monkeypatch):
     monkeypatch.setattr(numbers, "times_linear", counting)
     assert all(r.passed for r in run_identity_suite(30, 30))
     assert cells and len(cells) == len(set(cells))
+
+
+@pytest.mark.parametrize("route", ["stirling1_table", "stirling1_from_series"])
+def test_stirling1_inversions_check_both_first_kind_routes(monkeypatch, route):
+    # one wrong cell, in the row recurrence or in the series triangle, fails
+    # the identity
+    from degenums import audit
+
+    real = getattr(audit, route)
+
+    def broken(nmax):
+        rows = [list(row) for row in real(nmax).entries]
+        rows[5][2] = rows[5][2] + LAM
+        return StirlingTable(tuple(map(tuple, rows)))
+
+    assert {r.name: r.passed for r in run_identity_suite(8, 0)}["stirling1_inversions"]
+    monkeypatch.setattr(audit, route, broken)
+    assert not {r.name: r.passed for r in run_identity_suite(8, 0)}["stirling1_inversions"]
 
 
 def test_identity_suite_degenerate_ranges():

@@ -4,6 +4,12 @@ from fractions import Fraction
 import pytest
 
 from degenums import numbers
+from degenums.algorithms import (
+    SequenceSpec,
+    build_table,
+    closed_form_final_sequence,
+    final_sequence,
+)
 from degenums.exact import LAM, ONE, ZERO, LambdaPoly
 from degenums.numbers import (
     bell_deg_sequence,
@@ -301,6 +307,30 @@ def test_bernoulli_poly_series_cross_check():
         values = bernoulli_deg_poly_sequence(nmax, x)
         for n in range(nmax + 1):
             assert egf.coeff(n).scale(math.factorial(n)) == values[n]
+
+
+# -- differential checks past the identity suite's caps --------------------------
+
+
+def test_nested_bernoulli_matches_flat_closed_form_at_60():
+    # the family sums by Horner's rule; the closed form takes the flat dot
+    assert bernoulli_deg_sequence(60) == closed_form_final_sequence(
+        "B", SequenceSpec.bernoulli(), 60
+    )
+
+
+def test_bernoulli_at_one_matches_kind_a_column_at_40():
+    table = build_table("A", SequenceSpec.bernoulli(), 40)
+    assert bernoulli_deg_poly_sequence(40, 1) == final_sequence(table)
+
+
+def test_bernoulli_constant_terms_match_sympy_at_60():
+    sympy = pytest.importorskip("sympy")
+    values = bernoulli_deg_sequence(60)
+    for n, v in enumerate(values):
+        # current sympy takes B_1 = +1/2; this package has B_1 = -1/2
+        expected = F(-1, 2) if n == 1 else F(str(sympy.bernoulli(n)))
+        assert v.coeff(0) == expected
 
 
 # -- inversion identities against the first-kind triangle -------------------------

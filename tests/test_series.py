@@ -6,14 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degenums.exact import LAM, ONE, ZERO, LambdaPoly
-from degenums.numbers import stirling1_table, stirling2_table
+from degenums.numbers import _convolve_at, stirling1_table, stirling2_table
 from degenums.series import (
+    NestedWeights,
     TruncatedSeries,
     apply_weighted_derivation,
     e_lambda_series,
     e_lambda_x_series,
     log_lambda_series,
     powers,
+    stirling1_from_series,
     stirling2_from_series,
 )
 
@@ -139,6 +141,78 @@ def test_weighted_sums_of_unit_vector_is_column(make_table, nmax, data):
 def test_weighted_sums_needs_a_weight_per_column():
     with pytest.raises(ValueError, match="need 4 weights"):
         stirling2_table(3).weighted_sums([ONE, ONE, ONE])
+
+
+# -- nested weights: Horner over polynomials, multiplied out at a rational L ----
+
+_LANE_POINTS = (F(1, 2), F(-3, 7), F(0))
+small_ints = st.integers(min_value=-4, max_value=4)
+
+
+def _direct_weights(heads, factors):
+    # w_k = h_k prod_{j<k} (a_j + b_j L), by plain polynomial products
+    out, prod = [], ONE
+    for k, head in enumerate(heads):
+        if k:
+            prod = prod * LambdaPoly(factors[k - 1])
+        out.append(prod.scale(head))
+    return out
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from([stirling1_table, stirling2_table]), st.integers(0, 8), st.data())
+def test_nested_weighted_sums_equal_the_multiplied_out_vector(make_table, nmax, data):
+    heads = tuple(data.draw(st.lists(rationals, min_size=nmax + 1, max_size=nmax + 1)))
+    factors = tuple(
+        data.draw(st.lists(st.tuples(small_ints, small_ints), min_size=nmax, max_size=nmax))
+    )
+    direct = _direct_weights(heads, factors)
+    nested = NestedWeights(heads, factors)
+    assert nested.multiplied_out() == direct
+    symbolic = make_table(nmax).weighted_sums(nested)
+    assert symbolic == make_table(nmax).weighted_sums(direct)
+    for lam in _LANE_POINTS:
+        at = NestedWeights(heads, factors, lam)
+        assert at.multiplied_out() == [w.eval_at(lam) for w in direct]
+        lane = make_table(nmax, lam).weighted_sums(at)
+        assert all(type(v) is F for v in lane)
+        assert lane == [v.eval_at(lam) for v in symbolic]
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(0, 8), rationals, st.data())
+def test_nested_convolution_is_the_binomial_sum(nmax, x, data):
+    # sum_k C(n,k) (x)_{n-k,L} base[k] with the falling factorials multiplied out
+    base = data.draw(st.lists(polys, min_size=nmax + 1, max_size=nmax + 1))
+    falls = [ONE]
+    for j in range(nmax):
+        falls.append(falls[-1] * LambdaPoly((x, -j)))
+    direct = [
+        sum((falls[n - k] * base[k] * math.comb(n, k) for k in range(n + 1)), ZERO)
+        for n in range(nmax + 1)
+    ]
+    assert _convolve_at(base, x, LAM) == direct
+    for lam in _LANE_POINTS:
+        lane = _convolve_at([b.eval_at(lam) for b in base], x, lam)
+        assert lane == [v.eval_at(lam) for v in direct]
+
+
+def test_nested_weights_need_a_factor_between_heads():
+    with pytest.raises(ValueError, match="3 heads need 2 factors"):
+        NestedWeights((1, 2, 3), ((1, 1),))
+    with pytest.raises(ValueError, match="need 4 weights"):
+        stirling2_table(3).weighted_sums(NestedWeights((1, 1, 1), ((1, -1), (2, -1))))
+
+
+def test_stirling1_recurrence_matches_series_triangle():
+    series_table = stirling1_from_series(30)
+    assert stirling1_table(30) == series_table
+    half = F(1, 2)
+    assert stirling1_table(30, half).entries == tuple(
+        tuple(v.eval_at(half) for v in row) for row in series_table.entries
+    )
+    with pytest.raises(ValueError):
+        stirling1_from_series(-1)
 
 
 def test_compositional_inverse_both_ways():
