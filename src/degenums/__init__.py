@@ -15,7 +15,6 @@ from .exact import (
     parse_rat,
 )
 from .series import (
-    NestedWeights,
     StirlingTable,
     TruncatedSeries,
     apply_weighted_derivation,

@@ -105,9 +105,7 @@ def bernoulli_deg_sequence(nmax: int, lam: Value = LAM) -> list[Value]:
     factors (k+1) - L."""
     return stirling2_table(nmax, lam).weighted_sums(
         NestedWeights(
-            tuple(Fraction((-1) ** k, k + 1) for k in range(nmax + 1)),
-            tuple((k + 1, -1) for k in range(nmax)),
-            lam,
+            tuple(Fraction((-1) ** k, k + 1) for k in range(nmax + 1)), (1, -1), (1, 0), lam
         )
     )
 
@@ -137,9 +135,7 @@ def _convolve_at(base: list[Value], x: Fraction, lam: Value) -> list[Value]:
     )
     return pascal.weighted_sums(
         NestedWeights(
-            tuple(Fraction(1, q**m) for m in range(nmax + 1)),
-            tuple((p, -j * q) for j in range(nmax)),
-            lam,
+            tuple(Fraction(1, q**m) for m in range(nmax + 1)), (p, 0), (0, -q), lam
         )
     )
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .exact import LAM, ONE, ZERO, LambdaPoly, Scalar, Value, linear_products, ring_one, times_linear
+from .exact import LAM, ONE, ZERO, LambdaPoly, Scalar, Value, linear_products
 
 __all__ = [
     "TruncatedSeries",
@@ -237,40 +237,41 @@ def apply_weighted_derivation(f: TruncatedSeries, n: int) -> TruncatedSeries:
 
 
 class NestedWeights:
-    """Weights in nested form: w_k = heads[k] * prod_{j<k} (a_j + b_j L), with
-    rational heads, integer factors[j] = (a_j, b_j) and L taken at lam (LAM
+    """Weights in nested form: w_k = heads[k] * prod_{j<k} f_j, with rational
+    heads and the linear factors f_j = (a + j da) + (b + j db) L given by the
+    integer pairs start = (a, b) and step = (da, db), and L taken at lam (LAM
     for polynomials in L, a Fraction for the rationals at that value)."""
 
-    __slots__ = ("heads", "factors", "lam")
+    __slots__ = ("heads", "start", "step", "lam")
 
     def __init__(
-        self, heads: Sequence[Scalar], factors: Sequence[tuple[int, int]], lam: Value = LAM
+        self,
+        heads: Sequence[Scalar],
+        start: tuple[int, int],
+        step: tuple[int, int],
+        lam: Value = LAM,
     ) -> None:
-        if len(factors) + 1 < len(heads):
-            raise ValueError(f"{len(heads)} heads need {len(heads) - 1} factors")
-        self.heads, self.factors, self.lam = tuple(heads), tuple(factors), lam
+        self.heads, self.start, self.step, self.lam = tuple(heads), start, step, lam
 
     def __len__(self) -> int:
         return len(self.heads)
 
     def multiplied_out(self) -> list[Value]:
         """The plain weight vector [w_0, w_1, ...] from the running products."""
-        out, prod = [], ring_one(self.lam)
-        for k, head in enumerate(self.heads):
-            if k:
-                prod = times_linear(prod, *self.factors[k - 1], self.lam)
-            out.append(prod * head)
-        return out
+        (a, b), (da, db), lam = self.start, self.step, self.lam
+        prods = linear_products(a + b * lam, da + db * lam, len(self.heads) - 1)
+        return [p * h for p, h in zip(prods, self.heads)]
 
     def horner(self, terms: Sequence[LambdaPoly]) -> LambdaPoly:
         """sum_k terms[k] * w_k over polynomials in L by Horner's rule,
         t_0 h_0 + f_0 (t_1 h_1 + f_1 (t_2 h_2 + ...)): each step is one
         linear-factor product, one scale and one add, so no step multiplies
         two polynomials."""
+        (a, b), (da, db) = self.start, self.step
         top = len(terms) - 1
         acc = terms[top].scale(self.heads[top])
         for k in range(top - 1, -1, -1):
-            acc = acc.mul_linear(*self.factors[k]) + terms[k].scale(self.heads[k])
+            acc = acc.mul_linear(a + k * da, b + k * db) + terms[k].scale(self.heads[k])
         return acc
 
 
@@ -311,6 +312,8 @@ class StirlingTable:
         if len(weights) <= self.nmax:
             raise ValueError(f"need {self.nmax + 1} weights, got {len(weights)}")
         if isinstance(weights, NestedWeights):
+            if (weights.lam is LAM) != isinstance(self.entries[0][0], LambdaPoly):
+                raise ValueError("nested weights must take L in the ring of the entries")
             if weights.lam is LAM:
                 return [weights.horner(row) for row in self.entries]
             weights = weights.multiplied_out()

@@ -149,12 +149,14 @@ _LANE_POINTS = (F(1, 2), F(-3, 7), F(0))
 small_ints = st.integers(min_value=-4, max_value=4)
 
 
-def _direct_weights(heads, factors):
-    # w_k = h_k prod_{j<k} (a_j + b_j L), by plain polynomial products
+def _direct_weights(heads, start, step):
+    # w_k = h_k prod_{j<k} ((a + j da) + (b + j db) L), by plain polynomial products
+    (a, b), (da, db) = start, step
     out, prod = [], ONE
     for k, head in enumerate(heads):
         if k:
-            prod = prod * LambdaPoly(factors[k - 1])
+            j = k - 1
+            prod = prod * LambdaPoly((a + j * da, b + j * db))
         out.append(prod.scale(head))
     return out
 
@@ -163,16 +165,15 @@ def _direct_weights(heads, factors):
 @given(st.sampled_from([stirling1_table, stirling2_table]), st.integers(0, 8), st.data())
 def test_nested_weighted_sums_equal_the_multiplied_out_vector(make_table, nmax, data):
     heads = tuple(data.draw(st.lists(rationals, min_size=nmax + 1, max_size=nmax + 1)))
-    factors = tuple(
-        data.draw(st.lists(st.tuples(small_ints, small_ints), min_size=nmax, max_size=nmax))
-    )
-    direct = _direct_weights(heads, factors)
-    nested = NestedWeights(heads, factors)
+    start = data.draw(st.tuples(small_ints, small_ints))
+    step = data.draw(st.tuples(small_ints, small_ints))
+    direct = _direct_weights(heads, start, step)
+    nested = NestedWeights(heads, start, step)
     assert nested.multiplied_out() == direct
     symbolic = make_table(nmax).weighted_sums(nested)
     assert symbolic == make_table(nmax).weighted_sums(direct)
     for lam in _LANE_POINTS:
-        at = NestedWeights(heads, factors, lam)
+        at = NestedWeights(heads, start, step, lam)
         assert at.multiplied_out() == [w.eval_at(lam) for w in direct]
         lane = make_table(nmax, lam).weighted_sums(at)
         assert all(type(v) is F for v in lane)
@@ -197,11 +198,17 @@ def test_nested_convolution_is_the_binomial_sum(nmax, x, data):
         assert lane == [v.eval_at(lam) for v in direct]
 
 
-def test_nested_weights_need_a_factor_between_heads():
-    with pytest.raises(ValueError, match="3 heads need 2 factors"):
-        NestedWeights((1, 2, 3), ((1, 1),))
+def test_nested_weights_need_a_head_per_column():
     with pytest.raises(ValueError, match="need 4 weights"):
-        stirling2_table(3).weighted_sums(NestedWeights((1, 1, 1), ((1, -1), (2, -1))))
+        stirling2_table(3).weighted_sums(NestedWeights((1, 1, 1), (1, -1), (1, 0)))
+
+
+def test_nested_weights_must_match_the_ring_of_the_entries():
+    heads, half = (1, 1, 1, 1), F(1, 2)
+    with pytest.raises(ValueError, match="ring of the entries"):
+        stirling2_table(3).weighted_sums(NestedWeights(heads, (1, -1), (1, 0), half))
+    with pytest.raises(ValueError, match="ring of the entries"):
+        stirling2_table(3, half).weighted_sums(NestedWeights(heads, (1, -1), (1, 0)))
 
 
 def test_stirling1_recurrence_matches_series_triangle():

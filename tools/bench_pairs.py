@@ -3,16 +3,21 @@
 Usage (from the repository root):
 
     python3 tools/bench_pairs.py --label NAME [--parent REF] [--seeds 40-49]
-        [--seconds 25] [--workloads a,b] [--trace-seed N]
+        [--trace-seed N]
     python3 tools/bench_pairs.py --compare BENCH_new.json [BENCH_earlier.json]
 
 The change is the current checkout, working-tree edits included; the parent
-is REF (default HEAD), unpacked with ``git archive`` into a temporary
-directory (under $TMPDIR) and removed afterwards.  For each seed the two
-sides run ``perfbench/run.py --trace 0`` on the same workload one after the
-other, the parent first on even pairs and the change first on odd ones, so
-slow drift of the host's speed falls on both sides alike.  One ``--trace 1`` run per side and workload records
-the per-layer cost drivers (degree in L, coefficient bits, poly-op counts).
+is REF, by default HEAD~1 when the working tree is clean and HEAD when it
+has edits.  The parent is unpacked with ``git archive`` into a temporary
+directory (under $TMPDIR) and removed afterwards.  The file names the
+measured change by its commit and, when the tree has edits, by the tree of
+``git stash create``.  Every workload in BENCHMARK.json runs for the
+benchmark's ``run_seconds``.  For each seed the two sides run
+``perfbench/run.py --trace 0`` on the same workload one after the other,
+the parent first on even pairs and the change first on odd ones, so slow
+drift of the host's speed falls on both sides alike.  One ``--trace 1`` run
+per side and workload records the per-layer cost drivers (degree in L,
+coefficient bits, poly-op counts).
 
 The file holds, per workload and end-to-end metric, the values of every
 pair, their median and quartiles on each side, the change/parent ratio of
@@ -65,9 +70,9 @@ def unpack(commit: str, into: Path) -> Path:
     return tree
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run_once(tree: Path, workload: str, seed: int, trace: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+           "--seconds", str(SPEC["run_seconds"]), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n{proc.stderr}")
@@ -83,29 +88,29 @@ def summary(values: list[float]) -> dict:
 
 def measure(args: argparse.Namespace) -> dict:
     seeds = parse_seeds(args.seeds)
-    workloads = args.workloads.split(",") if args.workloads else [w["name"] for w in SPEC["workloads"]]
-    commit = git("rev-parse", args.parent)
+    stash = git("stash", "create")
+    commit = git("rev-parse", args.parent or ("HEAD" if stash else "HEAD~1"))
     workdir = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
     try:
         sides = {"parent": unpack(commit, workdir), "change": ROOT}
         result = {
             "label": args.label,
-            "parent": {"ref": args.parent, "commit": commit},
-            "change": {"ref": "checkout", "commit": git("rev-parse", "HEAD"),
-                       "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))},
+            "parent": {"commit": commit},
+            "change": {"commit": git("rev-parse", "HEAD"),
+                       "edited_tree": git("rev-parse", f"{stash}^{{tree}}") if stash else None},
             "python": platform.python_version(),
-            "seconds": args.seconds,
+            "seconds": SPEC["run_seconds"],
             "seeds": seeds,
             "trace_seed": args.trace_seed,
             "order": "alternated: the parent runs first on even pairs, the change on odd ones",
             "workloads": {},
         }
-        for workload in workloads:
+        for workload in (w["name"] for w in SPEC["workloads"]):
             runs: dict[str, list[dict]] = {"parent": [], "change": []}
             for i, seed in enumerate(seeds):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in order:
-                    runs[side].append(run_once(sides[side], workload, seed, args.seconds, 0))
+                    runs[side].append(run_once(sides[side], workload, seed, 0))
                 line = "  ".join(f"{side} {runs[side][-1]['metrics']['pass_s']['value']:.3f}"
                                  for side in ("parent", "change"))
                 print(f"{workload} seed {seed}: pass_s {line}", file=sys.stderr, flush=True)
@@ -125,7 +130,7 @@ def measure(args: argparse.Namespace) -> dict:
                 }
             for side in runs:
                 entry["failed"][side] = sum(r["failed"] for r in runs[side])
-                traced = run_once(sides[side], workload, args.trace_seed, args.seconds, 1)
+                traced = run_once(sides[side], workload, args.trace_seed, 1)
                 entry["per_layer"][side] = {k: v["value"] for k, v in traced["metrics"].items()}
             result["workloads"][workload] = entry
         return result
@@ -156,10 +161,8 @@ def compare(new_path: Path, old_path: Path | None) -> None:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label")
-    parser.add_argument("--parent", default="HEAD")
+    parser.add_argument("--parent")
     parser.add_argument("--seeds", default="40-49")
-    parser.add_argument("--seconds", type=float, default=float(SPEC["run_seconds"]))
-    parser.add_argument("--workloads", default="")
     parser.add_argument("--trace-seed", type=int, default=50)
     parser.add_argument("--compare", nargs="+", type=Path, metavar="FILE")
     args = parser.parse_args()
