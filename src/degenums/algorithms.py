@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import LAM, ONE, ZERO, LambdaPoly, Value, linear_products, ring_one, times_linear
+from .exact import LAM, ONE, ZERO, LambdaPoly, Value, linear_products, ring_one, times_linear_add
 from .numbers import stirling2_table
 from .series import TruncatedSeries, e_lambda_series, log_lambda_series
 
@@ -131,7 +131,7 @@ def build_table(kind: str, seed: SequenceSpec, rows: int, lam: Value = LAM) -> A
         prev = table[-1]
         table.append(
             tuple(
-                times_linear(prev[m], m + shift, 1 - n, lam) - prev[m + 1] * (m + 1)
+                times_linear_add(prev[m], m + shift, 1 - n, prev[m + 1], -(m + 1), lam)
                 for m in range(len(prev) - 1)
             )
         )

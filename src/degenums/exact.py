@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterable
 
 __all__ = [
@@ -34,6 +35,7 @@ __all__ = [
     "parse_rat",
     "ring_one",
     "times_linear",
+    "times_linear_add",
     "linear_products",
     "classical_falling",
 ]
@@ -192,6 +194,21 @@ class LambdaPoly:
         nums = [a * u + b * v for u, v in zip(num + (0,), (0,) + num)]
         return LambdaPoly._raw(nums, self._den)
 
+    def mul_linear_add(self, a: int, b: int, y: "LambdaPoly", c: Scalar) -> "LambdaPoly":
+        """self * (a + b L) + c y for integers a and b and a rational c, in
+        one pass over both integer vectors on their common denominator:
+        coefficient i is mx (a num[i] + b num[i-1]) + my y.num[i]."""
+        p, q = c.numerator, c.denominator
+        dx, dy = self._den, y._den * q
+        g = math.gcd(dx, dy)
+        mx, my = dy // g, dx // g * p
+        a, b, x = a * mx, b * mx, self._num
+        nums = [
+            a * u + b * v + my * w
+            for u, v, w in zip_longest(x + (0,), (0,) + x, y._num, fillvalue=0)
+        ]
+        return LambdaPoly._raw(nums, dx * mx)
+
     def eval_at(self, q: Scalar) -> Fraction:
         """Substitute a rational value for L (Horner over the integers: with
         q = a/b and degree d, the numerator is sum_i num[i] a^i b^(d-i))."""
@@ -221,11 +238,13 @@ class LambdaPoly:
         """Canonical text form; ``LambdaPoly.parse`` is its exact inverse."""
         if not self._num:
             return "0"
+        den = self._den
         terms = []
         for i, n in enumerate(self._num):
             if n == 0:
                 continue
-            t = format_rat(Fraction(n, self._den))
+            g = math.gcd(n, den)
+            t = str(n // g) if g == den else f"{n // g}/{den // g}"
             if i == 1:
                 t += "*L"
             elif i >= 2:
@@ -288,6 +307,14 @@ def times_linear(x: Value, a: int, b: int, lam: Value) -> Value:
     if lam is LAM:
         return x.mul_linear(a, b)
     return x * (a + b * lam)
+
+
+def times_linear_add(x: Value, a: int, b: int, y: Value, c: Scalar, lam: Value) -> Value:
+    """x * (a + b lam) + c y for integers a and b and a rational c, by
+    ``LambdaPoly.mul_linear_add`` when lam is LAM itself."""
+    if lam is LAM:
+        return x.mul_linear_add(a, b, y, c)
+    return x * (a + b * lam) + y * c
 
 
 def linear_products(a: Value, c: Value, n: int) -> list[Value]:

@@ -23,7 +23,7 @@ import math
 from fractions import Fraction
 from typing import Callable
 
-from .exact import LAM, Scalar, Value, ring_one, times_linear
+from .exact import LAM, Scalar, Value, ring_one, times_linear, times_linear_add
 from .series import NestedWeights, StirlingTable
 
 __all__ = [
@@ -52,14 +52,14 @@ _stirling2_rows: dict[Value, list[tuple]] = {}
 
 
 def _stirling_rows(rows: list[tuple], nmax: int, cell: Callable) -> list[tuple]:
-    # Extend a Stirling triangle to row nmax by
-    #     next(k) = prev(k-1) + cell(prev(k), k, n),
-    # where cell multiplies by the kind's linear factor of row n, column k.
+    # Extend a Stirling triangle to row nmax by next(k) = cell(prev(k), k, n,
+    # prev(k-1)), where cell multiplies prev(k) by the kind's linear factor of
+    # row n, column k and adds prev(k-1) (zero left of column 0).
+    zero = rows[0][0] * 0
     for n in range(len(rows) - 1, nmax):
         prev = rows[-1]
         rows.append(
-            (cell(prev[0], 0, n),)
-            + tuple(prev[k - 1] + cell(prev[k], k, n) for k in range(1, n + 1))
+            tuple(cell(prev[k], k, n, prev[k - 1] if k else zero) for k in range(n + 1))
             + (prev[n],)
         )
     return rows
@@ -75,7 +75,9 @@ def stirling2_table(nmax: int, lam: Value = LAM) -> StirlingTable:
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
     kept = _stirling2_rows.get(lam, [(ring_one(lam),)])
-    rows = _stirling_rows(list(kept), nmax, lambda x, k, n: times_linear(x, k, -n, lam))
+    rows = _stirling_rows(
+        list(kept), nmax, lambda x, k, n, left: left + times_linear(x, k, -n, lam)
+    )
     if len(kept) < len(rows) <= _KEPT_ROWS:
         if lam not in _stirling2_rows and len(_stirling2_rows) >= 4:
             _stirling2_rows.clear()
@@ -90,12 +92,14 @@ def stirling1_table(nmax: int, lam: Value = LAM) -> StirlingTable:
         next(k) = prev(k-1) + (k L - n) prev(k),
 
     as polynomials in L (lam = LAM) or as rationals at L = lam.  No rows are
-    kept, and a cell multiplies by kL - n in the ring directly: every
-    ``times_linear`` call here is one second-kind cell.
+    kept.  A cell is one fused ``times_linear_add`` step, so every
+    ``times_linear`` call stays one second-kind cell.
     """
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
-    rows = _stirling_rows([(ring_one(lam),)], nmax, lambda x, k, n: x * (k * lam - n))
+    rows = _stirling_rows(
+        [(ring_one(lam),)], nmax, lambda x, k, n, left: times_linear_add(x, -n, k, left, 1, lam)
+    )
     return StirlingTable(tuple(rows))
 
 

@@ -265,13 +265,12 @@ class NestedWeights:
     def horner(self, terms: Sequence[LambdaPoly]) -> LambdaPoly:
         """sum_k terms[k] * w_k over polynomials in L by Horner's rule,
         t_0 h_0 + f_0 (t_1 h_1 + f_1 (t_2 h_2 + ...)): each step is one
-        linear-factor product, one scale and one add, so no step multiplies
-        two polynomials."""
+        fused ``mul_linear_add``, so no step multiplies two polynomials."""
         (a, b), (da, db) = self.start, self.step
         top = len(terms) - 1
         acc = terms[top].scale(self.heads[top])
         for k in range(top - 1, -1, -1):
-            acc = acc.mul_linear(a + k * da, b + k * db) + terms[k].scale(self.heads[k])
+            acc = acc.mul_linear_add(a + k * da, b + k * db, terms[k], self.heads[k])
         return acc
 
 

@@ -17,6 +17,7 @@ from degenums.exact import (
     parse_rat,
     ring_one,
     times_linear,
+    times_linear_add,
 )
 
 F = Fraction
@@ -134,18 +135,6 @@ def _random_poly(rng: random.Random) -> LambdaPoly:
     return LambdaPoly(rng.randint(-9, 9) for _ in range(degree + 1))
 
 
-def test_ring_laws_on_random_inputs():
-    rng = random.Random(20250810)
-    for _ in range(120):
-        a, b, c = (_random_poly(rng) for _ in range(3))
-        assert a + b == b + a
-        assert a * b == b * a
-        assert (a + b) + c == a + (b + c)
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
-        assert a + ZERO == a
-        assert a * ONE == a
-        assert a - a == ZERO
 
 
 def test_hash_consistency():
@@ -215,6 +204,21 @@ _polys = st.lists(_rationals, max_size=6).map(LambdaPoly)
 _ints = st.integers(-12, 12)
 
 
+@settings(deadline=None, max_examples=120)
+@given(_polys, _polys, _polys, _ints, _ints, _rationals)
+def test_ring_laws_on_random_inputs(a, b, c, i, j, k):
+    assert a + b == b + a
+    assert a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + ZERO == a
+    assert a * ONE == a
+    assert a - a == ZERO
+    # the fused linear step is the ring expression it replaces
+    assert a.mul_linear_add(i, j, b, k) == a * (i + j * LAM) + b * k
+
+
 @settings(deadline=None)
 @given(_polys, _ints, _ints)
 def test_mul_linear_is_the_product(p, a, b):
@@ -236,6 +240,55 @@ def test_mul_linear_edge_cases():
     assert LambdaPoly.constant(F(1, 2)).mul_linear(2, 4) == LambdaPoly((1, 2))
     q = LambdaPoly((F(3, 4), F(3, 2)))
     assert q.mul_linear(2, -6) == LambdaPoly((F(3, 2), F(-3, 2), -9))
+
+
+# polynomials over one of several denominators, so that x and y in a fused
+# step often differ in theirs
+_over_den = st.tuples(
+    st.lists(st.integers(-40, 40), max_size=6), st.sampled_from((1, 2, 3, 4, 6, 9, 35))
+).map(lambda t: LambdaPoly(F(n, t[1]) for n in t[0]))
+
+
+@settings(deadline=None, max_examples=300)
+@given(_over_den, _ints, _ints, _over_den, _rationals | _ints)
+def test_mul_linear_add_is_the_ring_expression(x, a, b, y, c):
+    # the reference multiplies through the schoolbook __mul__; == compares
+    # the stored integer vectors, so this also checks the canonical form
+    expected = x * LambdaPoly((a, b)) + y.scale(c)
+    assert x.mul_linear_add(a, b, y, c) == expected
+    assert times_linear_add(x, a, b, y, c, LAM) == expected
+
+
+@settings(deadline=None)
+@given(_over_den, _ints, _ints, _rationals.filter(bool))
+def test_mul_linear_add_cancels_to_canonical_zero(x, a, b, c):
+    y = (x * LambdaPoly((a, b))).scale(1 / c)
+    z = x.mul_linear_add(a, b, y, -c)
+    assert z == ZERO and z._num == () and z._den == 1
+
+
+def test_mul_linear_add_edge_cases():
+    p = LambdaPoly((F(1, 2), 3))
+    q = LambdaPoly((F(2, 3), 0, F(-5, 7)))
+    assert ZERO.mul_linear_add(3, -7, q, F(3, 2)) == q.scale(F(3, 2))
+    assert p.mul_linear_add(3, -7, ZERO, F(3, 2)) == p * LambdaPoly((3, -7))
+    assert p.mul_linear_add(3, -7, q, 0) == p * LambdaPoly((3, -7))
+    assert p.mul_linear_add(0, 0, q, -1) == -q
+    assert ZERO.mul_linear_add(1, 1, ZERO, 5) == ZERO
+    # 1/3 * 3 - 1 cancels, and the zero comes back over denominator 1
+    z = LambdaPoly.constant(F(1, 3)).mul_linear_add(3, 0, ONE, -1)
+    assert z == ZERO and z._den == 1
+    # 1/6 (2 + 4L) + 1/3 (1 - 2L) = 2/3: the L terms cancel, the rest reduces
+    w = LambdaPoly.constant(F(1, 6)).mul_linear_add(2, 4, ONE - LAM.scale(2), F(1, 3))
+    assert w == LambdaPoly.constant(F(2, 3)) and (w._num, w._den) == ((2,), 3)
+
+
+@settings(deadline=None)
+@given(_polys, _ints, _ints, _polys, _rationals, _rationals)
+def test_times_linear_add_commutes_with_evaluation(x, a, b, y, c, q):
+    lane = times_linear_add(x.eval_at(q), a, b, y.eval_at(q), c, q)
+    assert type(lane) is F
+    assert lane == x.mul_linear_add(a, b, y, c).eval_at(q)
 
 
 @settings(deadline=None)
@@ -286,6 +339,31 @@ def test_render_examples():
     assert (ONE - LAM).render() == "1 + -1*L"
     assert LAM.render() == "1*L"
     assert LambdaPoly((0, 0, 0, F(5, 3))).render() == "5/3*L^3"
+
+
+def _render_by_fractions(p):
+    # the per-coefficient Fraction formula the canonical rendering is defined by
+    terms = []
+    for i in range(p.degree + 1):
+        c = p.coeff(i)
+        if c:
+            terms.append(format_rat(c) + ("" if i == 0 else "*L" if i == 1 else f"*L^{i}"))
+    return " + ".join(terms) or "0"
+
+
+_coefficients = st.one_of(
+    st.just(0),
+    st.integers(-(2**200), 2**200),
+    st.fractions(max_denominator=10**6),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(_coefficients, max_size=8), st.integers(1, 10**12))
+def test_render_matches_the_fraction_formula(coeffs, den):
+    p = LambdaPoly(coeffs)
+    for q in (p, p.scale(F(1, den)), -p):
+        assert q.render() == _render_by_fractions(q)
 
 
 def test_parse_inverts_render():
