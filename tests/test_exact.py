@@ -135,8 +135,6 @@ def _random_poly(rng: random.Random) -> LambdaPoly:
     return LambdaPoly(rng.randint(-9, 9) for _ in range(degree + 1))
 
 
-
-
 def test_hash_consistency():
     assert hash(LambdaPoly((1, -1))) == hash(ONE - LAM)
     assert len({ONE, LambdaPoly((1,)), LAM}) == 2
