@@ -85,7 +85,7 @@ def _check_size(flag: str, value: int, ceiling: int) -> None:
 def _load_custom_seed(path: str, lam: Fraction | None) -> SequenceSpec:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read custom seed file {path!r}: {exc}") from None
     values = []
     for lineno, line in enumerate(text.splitlines(), start=1):

@@ -97,6 +97,41 @@ class LambdaPoly:
     def constant(cls, value: Scalar) -> "LambdaPoly":
         return cls((value,))
 
+    @classmethod
+    def sum_of_products(
+        cls, pairs: Iterable[tuple["LambdaPoly", "LambdaPoly | Scalar"]]
+    ) -> "LambdaPoly":
+        """sum x y over pairs (x, y) of a polynomial x and a polynomial or
+        rational y.  Every product is convolved into one integer vector over
+        a running common denominator, the lcm of the pair denominators, and
+        the sum is normalised once."""
+        acc: list[int] = []
+        den = 1
+        for x, y in pairs:
+            if isinstance(y, LambdaPoly):
+                b, d = y._num, x._den * y._den
+            elif isinstance(y, (int, Fraction)):
+                b, d = ((y.numerator,) if y else ()), x._den * y.denominator
+            else:
+                raise TypeError(f"cannot multiply a LambdaPoly by {type(y).__name__}")
+            a = x._num
+            if not (a and b):
+                continue
+            grow = d // math.gcd(den, d)
+            if grow != 1:
+                acc = [c * grow for c in acc]
+                den *= grow
+            m = den // d
+            if len(a) > len(b):  # loop over the shorter factor outside
+                a, b = b, a
+            acc.extend([0] * (len(a) + len(b) - 1 - len(acc)))
+            for i, u in enumerate(a):
+                if u:
+                    u *= m
+                    for j, v in enumerate(b, i):
+                        acc[j] += u * v
+        return cls._raw(acc, den)
+
     # -- structure ---------------------------------------------------------
 
     @property
@@ -180,6 +215,8 @@ class LambdaPoly:
 
     def scale(self, q: Scalar) -> "LambdaPoly":
         """Multiply by a rational scalar."""
+        if not isinstance(q, (int, Fraction)):
+            raise TypeError(f"scale takes an int or a Fraction, not {type(q).__name__}")
         q = Fraction(q)
         if q == 0 or not self._num:
             return ZERO

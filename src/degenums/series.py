@@ -106,16 +106,10 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         a, b = self._common(other)
-        n = a.order
-        out: list[LambdaPoly] = [ZERO] * (n + 1)
-        for i, u in enumerate(a._coeffs):
-            if u.is_zero:
-                continue
-            for j in range(n - i + 1):
-                v = b._coeffs[j]
-                if not v.is_zero:
-                    out[i + j] = out[i + j] + u * v
-        return TruncatedSeries(out)
+        return TruncatedSeries(
+            LambdaPoly.sum_of_products(zip(a._coeffs[: k + 1], b._coeffs[k::-1]))
+            for k in range(a.order + 1)
+        )
 
     def scale(self, q: Scalar) -> "TruncatedSeries":
         return TruncatedSeries(c.scale(q) for c in self._coeffs)
@@ -144,12 +138,14 @@ class TruncatedSeries:
         if not inner.coeff(0).is_zero:
             raise ValueError("composition requires a zero constant term in the inner series")
         order = min(self.order, inner.order)
-        out = [ZERO] * (order + 1)
-        for f_k, power in zip(self._coeffs, powers(inner.truncate(order), order)):
-            for n, c in enumerate(power._coeffs):
-                if not (f_k.is_zero or c.is_zero):
-                    out[n] = out[n] + f_k * c
-        return TruncatedSeries(out)
+        table = powers(inner.truncate(order), order)
+        # inner^k has no terms below t^k, so coefficient n needs k <= n only
+        return TruncatedSeries(
+            LambdaPoly.sum_of_products(
+                (f_k, power._coeffs[n]) for f_k, power in zip(self._coeffs[: n + 1], table)
+            )
+            for n in range(order + 1)
+        )
 
     def reciprocal(self) -> "TruncatedSeries":
         """Multiplicative inverse; the constant term must be a nonzero rational."""
@@ -159,10 +155,7 @@ class TruncatedSeries:
         inv0 = 1 / c0.coeff(0)
         out: list[LambdaPoly] = [LambdaPoly.constant(inv0)]
         for n in range(1, self.order + 1):
-            s = ZERO
-            for k in range(1, n + 1):
-                if not self._coeffs[k].is_zero:
-                    s = s + self._coeffs[k] * out[n - k]
+            s = LambdaPoly.sum_of_products(zip(self._coeffs[1 : n + 1], out[n - 1 :: -1]))
             out.append(s.scale(-inv0))
         return TruncatedSeries(out)
 
@@ -224,15 +217,13 @@ def apply_weighted_derivation(f: TruncatedSeries, n: int) -> TruncatedSeries:
         raise ValueError(f"need a series of order >= {n}, got order {f.order}")
     g = f
     for j in range(n):
-        d = g.differentiate()
-        jlam = LAM.scale(j)
-        out = []
-        for m in range(d.order + 1):
-            c = (d._coeffs[m - 1] if m > 0 else ZERO) - d._coeffs[m]
-            if j > 0:
-                c = c - jlam * g._coeffs[m]
-            out.append(c)
-        g = TruncatedSeries(out)
+        d, minus_jlam = g.differentiate()._coeffs, LAM.scale(-j)
+        g = TruncatedSeries(
+            LambdaPoly.sum_of_products(
+                ((d[m - 1] if m else ZERO, 1), (d[m], -1), (g._coeffs[m], minus_jlam))
+            )
+            for m in range(len(d))
+        )
     return g
 
 
@@ -307,15 +298,19 @@ class StirlingTable:
 
         Nested weights over polynomials in L are summed row by row by
         Horner's rule; at a rational L they are multiplied out once and
-        summed like a plain vector, which is faster over Fractions."""
+        summed like a plain vector, which is faster over Fractions.  A plain
+        vector over polynomials in L is one ``sum_of_products`` per row."""
         if len(weights) <= self.nmax:
             raise ValueError(f"need {self.nmax + 1} weights, got {len(weights)}")
+        symbolic = isinstance(self.entries[0][0], LambdaPoly)
         if isinstance(weights, NestedWeights):
-            if (weights.lam is LAM) != isinstance(self.entries[0][0], LambdaPoly):
+            if (weights.lam is LAM) != symbolic:
                 raise ValueError("nested weights must take L in the ring of the entries")
-            if weights.lam is LAM:
+            if symbolic:
                 return [weights.horner(row) for row in self.entries]
             weights = weights.multiplied_out()
+        if symbolic:
+            return [LambdaPoly.sum_of_products(zip(row, weights)) for row in self.entries]
         return [
             sum((c * w for c, w in zip(row[1:], weights[1:])), row[0] * weights[0])
             for row in self.entries

@@ -186,6 +186,18 @@ def test_matrix_custom_seed_unreadable(capsys):
     assert "cannot read custom seed file" in err
 
 
+def test_matrix_custom_seed_not_utf8(tmp_path, capsys):
+    path = tmp_path / "seed.bin"
+    path.write_bytes(b"1\n\xff\xfe\n")
+    status, out, err = run_cli(
+        capsys, "matrix", "B", "--seed", "custom", "--rows", "1",
+        "--custom-file", str(path),
+    )
+    assert status == 2
+    assert out == ""
+    assert f"cannot read custom seed file {str(path)!r}" in err
+
+
 def test_matrix_custom_seed_malformed_line(tmp_path, capsys):
     path = tmp_path / "seed.txt"
     path.write_text("1\n0.5\n", encoding="utf-8")

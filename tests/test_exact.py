@@ -98,6 +98,23 @@ def test_float_coefficients_rejected():
         LambdaPoly((0.5,))
 
 
+def test_float_scale_rejected():
+    with pytest.raises(TypeError):
+        LAM.scale(0.5)
+    with pytest.raises(TypeError):
+        ONE.scale(0.1)
+    with pytest.raises(TypeError):
+        ZERO.scale(0.0)
+
+
+def test_float_weights_rejected_by_sum_of_products():
+    with pytest.raises(TypeError):
+        LambdaPoly.sum_of_products([(LAM, 0.5)])
+    # a float is rejected even when its partner is zero
+    with pytest.raises(TypeError):
+        LambdaPoly.sum_of_products([(ONE, 1), (ZERO, 0.5)])
+
+
 def test_renormalization_idempotent():
     rng = random.Random(7)
     for _ in range(50):
@@ -279,6 +296,46 @@ def test_mul_linear_add_edge_cases():
     # 1/6 (2 + 4L) + 1/3 (1 - 2L) = 2/3: the L terms cancel, the rest reduces
     w = LambdaPoly.constant(F(1, 6)).mul_linear_add(2, 4, ONE - LAM.scale(2), F(1, 3))
     assert w == LambdaPoly.constant(F(2, 3)) and (w._num, w._den) == ((2,), 3)
+
+
+def _fold(pairs):
+    # the reference: the schoolbook __mul__ and __add__, one pair at a time
+    total = ZERO
+    for x, y in pairs:
+        total = total + x * y
+    return total
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.tuples(_over_den, _over_den | _rationals | _ints | st.just(ZERO)), max_size=6))
+def test_sum_of_products_is_the_fold(pairs):
+    # == compares the stored integer vectors, so this also checks the canonical form
+    assert LambdaPoly.sum_of_products(pairs) == _fold(pairs)
+    assert LambdaPoly.sum_of_products(iter(pairs)) == _fold(pairs)
+
+
+@settings(deadline=None)
+@given(_over_den, _over_den, _rationals | _ints)
+def test_sum_of_products_cancels_to_canonical_zero(x, y, c):
+    z = LambdaPoly.sum_of_products([(x, y), (x, -y), (x, c), (x.scale(-1), c)])
+    assert z == ZERO and z._num == () and z._den == 1
+
+
+def test_sum_of_products_edge_cases():
+    p = LambdaPoly((F(1, 2), 3))
+    q = LambdaPoly((F(2, 3), 0, F(-5, 7)))
+    for z in (
+        LambdaPoly.sum_of_products([]),
+        LambdaPoly.sum_of_products([(ZERO, q), (p, ZERO), (p, 0), (p, F(0))]),
+        # 1/6 * 3 * L - 1/2 * L: two denominators, cancelled exactly
+        LambdaPoly.sum_of_products([(LambdaPoly.constant(F(1, 6)), LAM.scale(3)), (LAM, F(-1, 2))]),
+    ):
+        assert z == ZERO and (z._num, z._den) == ((), 1)
+    assert LambdaPoly.sum_of_products([(p, q)]) == p * q
+    assert LambdaPoly.sum_of_products([(p, 2), (q, F(1, 3))]) == p.scale(2) + q.scale(F(1, 3))
+    # the running denominator grows 2 -> 6 -> 42 and the sum still reduces
+    r = LambdaPoly.sum_of_products([(p, ONE), (q, ONE), (LambdaPoly.constant(F(1, 7)), 1)])
+    assert r == p + q + F(1, 7)
 
 
 @settings(deadline=None)

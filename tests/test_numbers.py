@@ -333,6 +333,32 @@ def test_bernoulli_constant_terms_match_sympy_at_60():
         assert v.coeff(0) == expected
 
 
+def test_classical_families_match_sympy_at_lambda_zero_to_200():
+    sympy = pytest.importorskip("sympy")
+    nmax, zero = 200, F(0)
+    bern = bernoulli_deg_sequence(nmax, lam=zero)
+    euler = euler_deg_sequence(nmax, lam=zero)
+    bell = bell_deg_sequence(nmax, lam=zero)
+    for n in range(nmax + 1):
+        # sympy takes B_1 = +1/2; this package has B_1 = -1/2
+        b = F(-1, 2) if n == 1 else F(str(sympy.bernoulli(n)))
+        assert (bern[n], euler[n], bell[n]) == (
+            b, F(str(sympy.euler(n, 0))), int(sympy.bell(n))
+        ), n
+
+
+def test_euler_sequence_matches_sympy_expansion_with_symbolic_lambda():
+    sympy = pytest.importorskip("sympy")
+    L, t = sympy.symbols("L t")
+    nmax = 4
+    expansion = sympy.series(2 / ((1 + L * t) ** (1 / L) + 1), t, 0, nmax + 1).removeO()
+    values = euler_deg_sequence(nmax)
+    for n in range(nmax + 1):
+        coeff = sympy.Poly(sympy.simplify(expansion.coeff(t, n) * sympy.factorial(n)), L)
+        expected = LambdaPoly(F(int(c.p), int(c.q)) for c in reversed(coeff.all_coeffs()))
+        assert values[n] == expected, n
+
+
 # -- inversion identities against the first-kind triangle -------------------------
 
 

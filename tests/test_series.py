@@ -124,6 +124,25 @@ def test_powers_are_repeated_products(g, n):
         product = product * g
 
 
+@settings(deadline=None, max_examples=80)
+@given(series, series)
+def test_mul_is_the_naive_convolution(f, g):
+    # an independent reference: the schoolbook LambdaPoly product, summed
+    # coefficient by coefficient up to the smaller order
+    n = min(f.order, g.order)
+    expected = [ZERO] * (n + 1)
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            expected[i + j] = expected[i + j] + f.coeff(i) * g.coeff(j)
+    assert (f * g).coeffs == tuple(expected)
+
+
+@settings(deadline=None, max_examples=60)
+@given(series, series, series)
+def test_mul_is_associative(f, g, h):
+    assert (f * g) * h == f * (g * h)
+
+
 def test_powers_rejects_negative_count():
     with pytest.raises(ValueError):
         powers(TruncatedSeries([0, 1]), -1)
