@@ -34,7 +34,6 @@ __all__ = [
     "format_rat",
     "parse_rat",
     "ring_one",
-    "times_linear",
     "times_linear_add",
     "linear_products",
     "classical_falling",
@@ -224,17 +223,12 @@ class LambdaPoly:
             [n * q.numerator for n in self._num], self._den * q.denominator
         )
 
-    def mul_linear(self, a: int, b: int) -> "LambdaPoly":
-        """Multiply by a + b L for integers a and b, straight from the integer
-        vector: coefficient i is a num[i] + b num[i-1]."""
-        num = self._num
-        nums = [a * u + b * v for u, v in zip(num + (0,), (0,) + num)]
-        return LambdaPoly._raw(nums, self._den)
-
     def mul_linear_add(self, a: int, b: int, y: "LambdaPoly", c: Scalar) -> "LambdaPoly":
         """self * (a + b L) + c y for integers a and b and a rational c, in
         one pass over both integer vectors on their common denominator:
         coefficient i is mx (a num[i] + b num[i-1]) + my y.num[i]."""
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"mul_linear_add takes an int or a Fraction, not {type(c).__name__}")
         p, q = c.numerator, c.denominator
         dx, dy = self._den, y._den * q
         g = math.gcd(dx, dy)
@@ -249,9 +243,10 @@ class LambdaPoly:
     def eval_at(self, q: Scalar) -> Fraction:
         """Substitute a rational value for L (Horner over the integers: with
         q = a/b and degree d, the numerator is sum_i num[i] a^i b^(d-i))."""
+        if not isinstance(q, (int, Fraction)):
+            raise TypeError(f"eval_at takes an int or a Fraction, not {type(q).__name__}")
         if not self._num:
             return Fraction(0)
-        q = Fraction(q)
         a, b = q.numerator, q.denominator
         acc, bpow = 0, 1
         for n in reversed(self._num):
@@ -338,20 +333,14 @@ def ring_one(lam: Value) -> Value:
     return lam * 0 + 1
 
 
-def times_linear(x: Value, a: int, b: int, lam: Value) -> Value:
-    """x * (a + b lam) for integers a and b, by ``LambdaPoly.mul_linear``
-    when lam is LAM itself."""
-    if lam is LAM:
-        return x.mul_linear(a, b)
-    return x * (a + b * lam)
-
-
 def times_linear_add(x: Value, a: int, b: int, y: Value, c: Scalar, lam: Value) -> Value:
     """x * (a + b lam) + c y for integers a and b and a rational c, by
     ``LambdaPoly.mul_linear_add`` when lam is LAM itself."""
     if lam is LAM:
         return x.mul_linear_add(a, b, y, c)
-    return x * (a + b * lam) + y * c
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"times_linear_add takes an int or a Fraction, not {type(c).__name__}")
+    return x * (a + b * lam) + (y if c == 1 else y * c)
 
 
 def linear_products(a: Value, c: Value, n: int) -> list[Value]:

@@ -23,7 +23,7 @@ import math
 from fractions import Fraction
 from typing import Callable
 
-from .exact import LAM, Scalar, Value, ring_one, times_linear, times_linear_add
+from .exact import LAM, Scalar, Value, ring_one, times_linear_add
 from .series import NestedWeights, StirlingTable
 
 __all__ = [
@@ -76,7 +76,7 @@ def stirling2_table(nmax: int, lam: Value = LAM) -> StirlingTable:
         raise ValueError("nmax must be nonnegative")
     kept = _stirling2_rows.get(lam, [(ring_one(lam),)])
     rows = _stirling_rows(
-        list(kept), nmax, lambda x, k, n, left: left + times_linear(x, k, -n, lam)
+        list(kept), nmax, lambda x, k, n, left: times_linear_add(x, k, -n, left, 1, lam)
     )
     if len(kept) < len(rows) <= _KEPT_ROWS:
         if lam not in _stirling2_rows and len(_stirling2_rows) >= 4:
@@ -92,8 +92,7 @@ def stirling1_table(nmax: int, lam: Value = LAM) -> StirlingTable:
         next(k) = prev(k-1) + (k L - n) prev(k),
 
     as polynomials in L (lam = LAM) or as rationals at L = lam.  No rows are
-    kept.  A cell is one fused ``times_linear_add`` step, so every
-    ``times_linear`` call stays one second-kind cell.
+    kept.
     """
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")

@@ -181,18 +181,31 @@ def test_scalar_lane_identity_is_appended():
 
 
 def test_identity_suite_builds_each_stirling_row_once(monkeypatch):
-    # each Stirling cell is one times_linear call, named by (lam, k, -n)
-    from degenums import numbers
+    # each second-kind Stirling cell is one times_linear_add call, named by
+    # (lam, k, -n).  The first kind is not kept, and its cells (lam, -n, k)
+    # would meet the second kind's at row 0, so none is recorded while
+    # audit.stirling1_table runs.
+    from degenums import audit, numbers
 
     cells = []
-    real = numbers.times_linear
+    first_kind = []
+    real_cell, real_stirling1 = numbers.times_linear_add, audit.stirling1_table
 
-    def counting(x, a, b, lam):
-        cells.append((lam, a, b))
-        return real(x, a, b, lam)
+    def counting(x, a, b, y, c, lam):
+        if not first_kind:
+            cells.append((lam, a, b))
+        return real_cell(x, a, b, y, c, lam)
+
+    def stirling1_uncounted(*args):
+        first_kind.append(True)
+        try:
+            return real_stirling1(*args)
+        finally:
+            first_kind.pop()
 
     monkeypatch.setattr(numbers, "_stirling2_rows", {})
-    monkeypatch.setattr(numbers, "times_linear", counting)
+    monkeypatch.setattr(numbers, "times_linear_add", counting)
+    monkeypatch.setattr(audit, "stirling1_table", stirling1_uncounted)
     assert all(r.passed for r in run_identity_suite(30, 30))
     assert cells and len(cells) == len(set(cells))
 

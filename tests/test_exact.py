@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from degenums.exact import (
@@ -16,7 +16,6 @@ from degenums.exact import (
     linear_products,
     parse_rat,
     ring_one,
-    times_linear,
     times_linear_add,
 )
 
@@ -113,6 +112,29 @@ def test_float_weights_rejected_by_sum_of_products():
     # a float is rejected even when its partner is zero
     with pytest.raises(TypeError):
         LambdaPoly.sum_of_products([(ONE, 1), (ZERO, 0.5)])
+
+
+def test_float_c_rejected_by_the_fused_step_over_polynomials():
+    with pytest.raises(TypeError, match="takes an int or a Fraction, not float"):
+        times_linear_add(ONE, 1, 1, ONE, 0.5, LAM)
+    with pytest.raises(TypeError, match="takes an int or a Fraction, not float"):
+        ZERO.mul_linear_add(1, 1, ZERO, 1.0)
+
+
+def test_float_c_rejected_by_the_fused_step_at_a_rational():
+    # without the check the step returns the float 2.0
+    with pytest.raises(TypeError, match="takes an int or a Fraction, not float"):
+        times_linear_add(F(1), 1, 1, F(1), 0.5, F(1, 2))
+    with pytest.raises(TypeError, match="takes an int or a Fraction, not float"):
+        times_linear_add(F(1), 1, 1, F(1), 1.0, F(1, 2))
+
+
+def test_float_eval_at_rejected():
+    # 0.1 would otherwise be read as the binary rational 3602879701896397/2^55
+    with pytest.raises(TypeError, match="takes an int or a Fraction, not float"):
+        (ONE + LAM).eval_at(0.1)
+    with pytest.raises(TypeError):
+        ZERO.eval_at(0.5)
 
 
 def test_renormalization_idempotent():
@@ -234,29 +256,6 @@ def test_ring_laws_on_random_inputs(a, b, c, i, j, k):
     assert a.mul_linear_add(i, j, b, k) == a * (i + j * LAM) + b * k
 
 
-@settings(deadline=None)
-@given(_polys, _ints, _ints)
-def test_mul_linear_is_the_product(p, a, b):
-    # == compares the stored integer vectors, so this also checks that the
-    # product is reduced to canonical form
-    expected = p * LambdaPoly((a, b))
-    assert p.mul_linear(a, b) == expected
-    assert times_linear(p, a, b, LAM) == expected
-
-
-def test_mul_linear_edge_cases():
-    p = LambdaPoly((F(1, 2), 3))
-    assert ZERO.mul_linear(3, -7) == ZERO
-    assert p.mul_linear(0, 0) == ZERO
-    assert p.mul_linear(0, 1) == p * LAM
-    assert p.mul_linear(5, 0) == p.scale(5)
-    # 1/2 * (2 + 4L) = 1 + 2L and 3/4 (1 + 2L) * (2 - 6L) = 3/2 - 3/2 L - 9 L^2:
-    # the common factors cancel against the denominator
-    assert LambdaPoly.constant(F(1, 2)).mul_linear(2, 4) == LambdaPoly((1, 2))
-    q = LambdaPoly((F(3, 4), F(3, 2)))
-    assert q.mul_linear(2, -6) == LambdaPoly((F(3, 2), F(-3, 2), -9))
-
-
 # polynomials over one of several denominators, so that x and y in a fused
 # step often differ in theirs
 _over_den = st.tuples(
@@ -296,6 +295,17 @@ def test_mul_linear_add_edge_cases():
     # 1/6 (2 + 4L) + 1/3 (1 - 2L) = 2/3: the L terms cancel, the rest reduces
     w = LambdaPoly.constant(F(1, 6)).mul_linear_add(2, 4, ONE - LAM.scale(2), F(1, 3))
     assert w == LambdaPoly.constant(F(2, 3)) and (w._num, w._den) == ((2,), 3)
+    # with y = ZERO the step is the product by a + bL alone
+    assert ZERO.mul_linear_add(3, -7, ZERO, 1) == ZERO
+    assert p.mul_linear_add(0, 0, ZERO, 1) == ZERO
+    assert p.mul_linear_add(0, 1, ZERO, 1) == p * LAM
+    assert p.mul_linear_add(5, 0, ZERO, 1) == p.scale(5)
+    # 1/2 * (2 + 4L) = 1 + 2L and 3/4 (1 + 2L) * (2 - 6L) = 3/2 - 3/2 L - 9 L^2:
+    # the common factors cancel against the denominator
+    h = LambdaPoly.constant(F(1, 2)).mul_linear_add(2, 4, ZERO, 1)
+    assert h == LambdaPoly((1, 2)) and (h._num, h._den) == ((1, 2), 1)
+    r = LambdaPoly((F(3, 4), F(3, 2))).mul_linear_add(2, -6, ZERO, 1)
+    assert r == LambdaPoly((F(3, 2), F(-3, 2), -9)) and (r._num, r._den) == ((3, -3, -18), 2)
 
 
 def _fold(pairs):
@@ -340,10 +350,13 @@ def test_sum_of_products_edge_cases():
 
 @settings(deadline=None)
 @given(_polys, _ints, _ints, _polys, _rationals, _rationals)
+# c = 1, as in every Stirling cell, takes the lane's branch that skips y * c
+@example(LambdaPoly((F(1, 2), 3)), 2, -5, LambdaPoly((F(2, 3), 0, 1)), 1, F(-3, 7))
 def test_times_linear_add_commutes_with_evaluation(x, a, b, y, c, q):
     lane = times_linear_add(x.eval_at(q), a, b, y.eval_at(q), c, q)
     assert type(lane) is F
     assert lane == x.mul_linear_add(a, b, y, c).eval_at(q)
+    assert lane == x.eval_at(q) * (a + b * q) + y.eval_at(q) * c
 
 
 @settings(deadline=None)
@@ -351,12 +364,6 @@ def test_times_linear_add_commutes_with_evaluation(x, a, b, y, c, q):
 def test_eval_at_is_the_substitution(p, q):
     assert p.eval_at(q) == sum((c * q**i for i, c in enumerate(p.coeffs)), F(0))
     assert type(p.eval_at(q)) is F
-
-
-@settings(deadline=None)
-@given(_polys, _ints, _ints, _rationals)
-def test_times_linear_commutes_with_evaluation(p, a, b, q):
-    assert times_linear(p.eval_at(q), a, b, q) == p.mul_linear(a, b).eval_at(q)
 
 
 def test_ring_one_and_rational_linear_products():

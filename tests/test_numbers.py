@@ -123,17 +123,17 @@ def test_table_entry_outside_triangle_at_a_rational_lambda():
 
 
 def test_stirling2_rows_are_built_once(monkeypatch):
-    # Every cell of a triangle is one times_linear call; record them with an
-    # empty row store, then run families that all read the same triangles.
+    # Every cell of a triangle is one times_linear_add call; record them with
+    # an empty row store, then run families that all read the same triangles.
     calls = []
-    real = numbers.times_linear
+    real = numbers.times_linear_add
 
-    def counting(x, a, b, lam):
+    def counting(x, a, b, y, c, lam):
         calls.append((lam, a, b))
-        return real(x, a, b, lam)
+        return real(x, a, b, y, c, lam)
 
     monkeypatch.setattr(numbers, "_stirling2_rows", {})
-    monkeypatch.setattr(numbers, "times_linear", counting)
+    monkeypatch.setattr(numbers, "times_linear_add", counting)
     fresh = stirling2_table(20)
     assert len(calls) == 20 * 21 // 2
     bernoulli_deg_sequence(12)
