@@ -22,7 +22,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import LAM, ONE, ZERO, LambdaPoly, Value, linear_products, ring_one, times_linear_add
+from .exact import (
+    LAM,
+    ONE,
+    ZERO,
+    LambdaPoly,
+    Value,
+    check_lam,
+    linear_products,
+    ring_one,
+    times_linear_add,
+)
 from .numbers import stirling2_table
 from .series import TruncatedSeries, e_lambda_series, log_lambda_series
 
@@ -125,6 +135,7 @@ def build_table(kind: str, seed: SequenceSpec, rows: int, lam: Value = LAM) -> A
         raise ValueError(f"kind must be 'B' or 'A', got {kind!r}")
     if rows < 0:
         raise ValueError("rows must be nonnegative")
+    check_lam(lam, "build_table")  # before the seed, which a custom seed never checks
     shift = 0 if kind == "B" else 1
     table: list[tuple[Value, ...]] = [tuple(seed.values(rows + 1, lam))]
     for n in range(1, rows + 1):

@@ -32,7 +32,9 @@ __all__ = [
     "ONE",
     "LAM",
     "format_rat",
+    "as_fraction",
     "parse_rat",
+    "check_lam",
     "ring_one",
     "times_linear_add",
     "linear_products",
@@ -50,6 +52,15 @@ def format_rat(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
+
+
+def as_fraction(x: Scalar, who: str) -> Fraction:
+    """x as a Fraction for an int or a Fraction; anything else raises
+    TypeError naming ``who``, since Fraction(0.1) is a binary rational, not
+    1/10."""
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"{who} takes an int or a Fraction, not {type(x).__name__}")
+    return Fraction(x)
 
 
 def parse_rat(text: str) -> Fraction:
@@ -328,8 +339,17 @@ LAM = LambdaPoly((0, 1))
 Value = LambdaPoly | Scalar
 
 
+def check_lam(lam: Value, who: str) -> None:
+    """Raise TypeError naming ``who`` unless lam is a LambdaPoly, an int or a
+    Fraction: a float is inexact, and as 0.5 == Fraction(1, 2) with equal
+    hashes, rows kept for a float would be served to the exact lane."""
+    if not isinstance(lam, (LambdaPoly, int, Fraction)):
+        raise TypeError(f"{who} takes a LambdaPoly, an int or a Fraction, not {type(lam).__name__}")
+
+
 def ring_one(lam: Value) -> Value:
     """The 1 of the ring that lam lives in: ONE for LAM, 1 at a rational."""
+    check_lam(lam, "ring_one")
     return lam * 0 + 1
 
 

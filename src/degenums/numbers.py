@@ -23,7 +23,7 @@ import math
 from fractions import Fraction
 from typing import Callable
 
-from .exact import LAM, Scalar, Value, ring_one, times_linear_add
+from .exact import LAM, Scalar, Value, as_fraction, ring_one, times_linear_add
 from .series import NestedWeights, StirlingTable
 
 __all__ = [
@@ -123,7 +123,7 @@ def euler_deg_sequence(nmax: int, lam: Value = LAM) -> list[Value]:
 def bell_deg_sequence(nmax: int, x: Scalar = 1, lam: Value = LAM) -> list[Value]:
     """Degenerate Bell polynomial values at x for n = 0..nmax (x = 1 gives
     the degenerate Bell numbers)."""
-    x = Fraction(x)
+    x = as_fraction(x, "bell_deg_sequence")
     return stirling2_table(nmax, lam).weighted_sums([x**k for k in range(nmax + 1)])
 
 
@@ -145,12 +145,14 @@ def _convolve_at(base: list[Value], x: Fraction, lam: Value) -> list[Value]:
 
 def bernoulli_deg_poly_sequence(nmax: int, x: Scalar, lam: Value = LAM) -> list[Value]:
     """Degenerate Bernoulli polynomial values at a rational x, n = 0..nmax."""
-    return _convolve_at(bernoulli_deg_sequence(nmax, lam), Fraction(x), lam)
+    x = as_fraction(x, "bernoulli_deg_poly_sequence")
+    return _convolve_at(bernoulli_deg_sequence(nmax, lam), x, lam)
 
 
 def euler_deg_poly_sequence(nmax: int, x: Scalar, lam: Value = LAM) -> list[Value]:
     """Degenerate Euler polynomial values at a rational x, n = 0..nmax."""
-    return _convolve_at(euler_deg_sequence(nmax, lam), Fraction(x), lam)
+    x = as_fraction(x, "euler_deg_poly_sequence")
+    return _convolve_at(euler_deg_sequence(nmax, lam), x, lam)
 
 
 # -- classical oracles, deliberately independent of everything above --------

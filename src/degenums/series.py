@@ -14,12 +14,13 @@ both kinds from powers of e_L(t) - 1 and log_L(1+t).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .exact import LAM, ONE, ZERO, LambdaPoly, Scalar, Value, linear_products
+from .exact import LAM, ONE, ZERO, LambdaPoly, Scalar, Value, as_fraction, linear_products
 
 __all__ = [
     "TruncatedSeries",
@@ -184,7 +185,7 @@ def e_lambda_x_series(x: Scalar, order: int) -> TruncatedSeries:
     factorial of x, length k, divided by k!."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    falls = linear_products(Fraction(x), -LAM, order)
+    falls = linear_products(as_fraction(x, "e_lambda_x_series"), -LAM, order)
     return TruncatedSeries(p.scale(Fraction(1, math.factorial(k))) for k, p in enumerate(falls))
 
 
@@ -317,14 +318,20 @@ class StirlingTable:
         ]
 
 
-def powers(g: TruncatedSeries, n: int) -> list[TruncatedSeries]:
-    """The power table [g^0, g^1, ..., g^n], each at the order of g."""
+@functools.lru_cache(maxsize=16)
+def powers(g: TruncatedSeries, n: int) -> tuple[TruncatedSeries, ...]:
+    """The power table (g^0, g^1, ..., g^n), each at the order of g.
+
+    Memoised per process on the value of (g, n), for the 16 most recent
+    tables, so the identity suite builds each distinct table once however
+    many compositions read it; the table is an immutable tuple, so every
+    caller can share it."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     table = [TruncatedSeries.constant(ONE, g.order)]
     for _ in range(n):
         table.append(table[-1] * g)
-    return table
+    return tuple(table)
 
 
 def egf_power_triangle(g: TruncatedSeries, nmax: int) -> tuple[tuple[LambdaPoly, ...], ...]:

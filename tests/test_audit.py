@@ -210,6 +210,28 @@ def test_identity_suite_builds_each_stirling_row_once(monkeypatch):
     assert cells and len(cells) == len(set(cells))
 
 
+def test_identity_suite_builds_each_power_table_once(monkeypatch):
+    # record every (g, n) the suite asks series.powers for, through both
+    # names it is called by: each distinct key is built on its first request
+    # only, and every later request of an equal key is a cache hit
+    from degenums import audit, series
+
+    requests = []
+    cached = series.powers
+
+    def recording(g, n):
+        requests.append((g, n))
+        return cached(g, n)
+
+    monkeypatch.setattr(series, "powers", recording)
+    monkeypatch.setattr(audit, "powers", recording)
+    cached.cache_clear()
+    assert all(r.passed for r in run_identity_suite(30, 30))
+    info = cached.cache_info()
+    assert info.misses == len(set(requests)) < len(requests)
+    assert info.hits == len(requests) - info.misses
+
+
 @pytest.mark.parametrize("route", ["stirling1_table", "stirling1_from_series"])
 def test_stirling1_inversions_check_both_first_kind_routes(monkeypatch, route):
     # one wrong cell, in the row recurrence or in the series triangle, fails

@@ -146,6 +146,43 @@ def test_stirling2_rows_are_built_once(monkeypatch):
     assert len(calls) == len(set(calls)) == 24 * 25 // 2 + 9 * 10 // 2
 
 
+def test_float_lambda_leaves_the_row_store_clean(monkeypatch):
+    # 0.5 == Fraction(1, 2) and both hash alike, so float rows stored under
+    # 0.5 would be served to the exact lane afterwards
+    monkeypatch.setattr(numbers, "_stirling2_rows", {})
+    for call in (
+        lambda: stirling2_table(3, 0.5),
+        lambda: stirling1_table(3, 0.5),
+        lambda: bernoulli_deg_sequence(3, 0.5),
+        lambda: build_table("B", SequenceSpec.bernoulli(), 3, 0.5),
+        lambda: build_table("B", SequenceSpec.custom([F(1), F(1, 2), F(1, 3), F(1, 4)]), 3, 0.5),
+    ):
+        with pytest.raises(TypeError, match="an int or a Fraction, not float"):
+            call()
+    assert numbers._stirling2_rows == {}
+    half = F(1, 2)
+    assert stirling2_table(3, half).entries[3] == (0, 0, F(3, 2), 1)
+    values = [*stirling2_table(3, half).entries[3], *bernoulli_deg_sequence(3, half)]
+    assert all(type(v) is Fraction for v in values)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: bell_deg_sequence(2, x),
+        lambda x: bernoulli_deg_poly_sequence(2, x),
+        lambda x: euler_deg_poly_sequence(2, x),
+        lambda x: e_lambda_x_series(x, 2),
+    ],
+    ids=["bell", "bernoulli_poly", "euler_poly", "e_lambda_x"],
+)
+def test_float_argument_x_rejected(call):
+    # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10
+    with pytest.raises(TypeError, match="takes an int or a Fraction, not float"):
+        call(0.1)
+    call(F(1, 10))
+
+
 def test_stirling2_kept_rows_are_bounded(monkeypatch):
     store = {}
     monkeypatch.setattr(numbers, "_stirling2_rows", store)

@@ -116,12 +116,19 @@ def test_compose_with_scaled_variable(f, c):
 @settings(deadline=None, max_examples=60)
 @given(series, orders)
 def test_powers_are_repeated_products(g, n):
+    powers.cache_clear()
     table = powers(g, n)
-    assert len(table) == n + 1
+    assert type(table) is tuple and len(table) == n + 1
     product = TruncatedSeries.constant(ONE, g.order)
     for k in range(n + 1):
         assert table[k] == product
         product = product * g
+    # the second call, and a call with an equal series built from new
+    # objects, are cache hits returning the same table
+    twin = TruncatedSeries([LambdaPoly.parse(c.render()) for c in g.coeffs])
+    assert twin is not g and all(a is not b for a, b in zip(twin.coeffs, g.coeffs))
+    assert powers(g, n) is table and powers(twin, n) is table
+    assert powers.cache_info()[:2] == (2, 1)  # (hits, misses)
 
 
 @settings(deadline=None, max_examples=80)

@@ -7,9 +7,11 @@ Usage (from the repository root):
     python3 tools/bench_pairs.py --compare BENCH_new.json [BENCH_earlier.json]
 
 The change is the current checkout, working-tree edits included; the parent
-is REF, by default HEAD~1 when the working tree is clean and HEAD when it
-has edits.  The parent is unpacked with ``git archive`` into a temporary
-directory (under $TMPDIR) and removed afterwards.  The file names the
+is REF, by default HEAD when files under src/ or perfbench/ differ from HEAD
+(the change is not committed yet) and HEAD~1 otherwise, so edits to files
+the benchmark never reads do not make a committed change its own parent.
+The parent is unpacked with ``git archive`` into a temporary directory
+(under $TMPDIR) and removed afterwards.  The file names the
 measured change by its commit and, when the tree has edits, by the tree of
 ``git stash create``.  Every workload in BENCHMARK.json runs for the
 benchmark's ``run_seconds``.  For each seed the two sides run
@@ -58,6 +60,11 @@ def git(*args: str) -> str:
                           text=True).stdout.strip()
 
 
+def default_parent() -> str:
+    """HEAD when the benchmark's inputs have uncommitted edits, else HEAD~1."""
+    return "HEAD" if git("status", "--porcelain", "--", "src", "perfbench") else "HEAD~1"
+
+
 def unpack(commit: str, into: Path) -> Path:
     """The committed tree of ``commit`` as a plain directory (no git metadata)."""
     archive = into / "parent.tar"
@@ -89,7 +96,7 @@ def summary(values: list[float]) -> dict:
 def measure(args: argparse.Namespace) -> dict:
     seeds = parse_seeds(args.seeds)
     stash = git("stash", "create")
-    commit = git("rev-parse", args.parent or ("HEAD" if stash else "HEAD~1"))
+    commit = git("rev-parse", args.parent or default_parent())
     workdir = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
     try:
         sides = {"parent": unpack(commit, workdir), "change": ROOT}
