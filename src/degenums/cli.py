@@ -5,9 +5,12 @@ runs), ``verify`` (identity suite, nonzero exit on any failure) and
 ``audit`` (printed-matrix comparison, always exit 0 since mismatches are
 findings).  Output is a structured JSON record by default or a flat
 tab-separated table with ``--format flat``; every polynomial uses the
-canonical text rendering.  A rational substitution for L can be supplied
-as ``--lambda p/q``; decimals are rejected to preserve exactness.  With it,
-``numbers`` and ``matrix`` run their recurrences at that value directly.
+canonical text rendering.  An ``OutputRecord`` payload holds the exact
+values, not their text: each value is rendered as it is written, one row per
+write, so a table is never held as text.  A rational substitution for L can
+be supplied as ``--lambda p/q``; decimals are rejected to preserve
+exactness.  With it, ``numbers`` and ``matrix`` run their recurrences at that
+value directly.
 Sizes are bounded: ``numbers --nmax`` and ``matrix --rows`` in 0..200,
 ``verify --nmax`` and ``--order`` in 0..30.
 
@@ -59,7 +62,7 @@ _TRIANGLE_FAMILIES = {
 @dataclass(frozen=True)
 class OutputRecord:
     kind: str  # number_table | matrix | identity_report | audit_report
-    payload: dict
+    payload: dict  # exact values (LambdaPoly, Fraction), rendered only by the writers
 
 
 def _lambda_arg(text: str) -> Fraction:
@@ -112,14 +115,13 @@ def _cmd_numbers(args: argparse.Namespace) -> OutputRecord:
     payload: dict = {
         "family": args.family,
         "nmax": args.nmax,
-        "lambda": format_rat(lam) if lam is not None else None,
+        "lambda": lam,
     }
     if args.family in _TRIANGLE_FAMILIES:
         table = _TRIANGLE_FAMILIES[args.family](args.nmax, point)
-        payload["rows"] = [[_fmt(v) for v in row] for row in table.entries]
+        payload["rows"] = table.entries
     else:
-        values = _SEQUENCE_FAMILIES[args.family](args.nmax, point)
-        payload["values"] = [_fmt(v) for v in values]
+        payload["values"] = _SEQUENCE_FAMILIES[args.family](args.nmax, point)
     return OutputRecord("number_table", payload)
 
 
@@ -138,8 +140,8 @@ def _cmd_matrix(args: argparse.Namespace) -> OutputRecord:
         "algorithm": args.kind,
         "seed": args.seed,
         "rows": args.rows,
-        "lambda": format_rat(lam) if lam is not None else None,
-        "table": [[_fmt(v) for v in row] for row in table.rows],
+        "lambda": lam,
+        "table": table.rows,
     }
     return OutputRecord("matrix", payload)
 
@@ -171,8 +173,8 @@ def _cmd_audit(args: argparse.Namespace) -> OutputRecord:
                 "matrix": r.entry.matrix_id,
                 "row": r.entry.row,
                 "col": r.entry.col,
-                "printed": r.entry.printed.render(),
-                "recomputed": r.recomputed.render(),
+                "printed": r.entry.printed,
+                "recomputed": r.recomputed,
                 "match": r.match,
             }
             for r in results
@@ -185,29 +187,46 @@ def _cmd_audit(args: argparse.Namespace) -> OutputRecord:
 # -- rendering ---------------------------------------------------------------
 
 
-# Both writers send the record to the stream piece by piece, so a large table
-# is never held a second time as one string.
+def _write_json(value: object, out: TextIO, pad: str) -> None:
+    """Write exactly the bytes of json.dump(value, out, indent=2) at indent
+    ``pad``, a LambdaPoly or Fraction as its quoted rendering: the canonical
+    alphabet [0-9/*L^ +-] needs no JSON escape."""
+    inner = "\n" + pad + "  "
+    if isinstance(value, (LambdaPoly, Fraction)):
+        out.write(f'"{_fmt(value)}"')
+    elif not value or not isinstance(value, (dict, list, tuple)):
+        out.write(json.dumps(value))
+    elif isinstance(value, dict):
+        sep = "{"
+        for key, item in value.items():
+            out.write(f"{sep}{inner}{json.dumps(key)}: ")
+            _write_json(item, out, pad + "  ")
+            sep = ","
+        out.write(f"\n{pad}}}")
+    elif isinstance(value[0], (dict, list, tuple)):
+        sep = "["
+        for item in value:
+            out.write(sep + inner)
+            _write_json(item, out, pad + "  ")
+            sep = ","
+        out.write(f"\n{pad}]")
+    else:  # a row of exact values, in one write
+        out.write(f'[{inner}"' + f'",{inner}"'.join(map(_fmt, value)) + f'"\n{pad}]')
 
 
 def to_structured(record: OutputRecord, out: TextIO) -> None:
-    json.dump({"kind": record.kind, "payload": record.payload}, out, indent=2)
+    _write_json({"kind": record.kind, "payload": record.payload}, out, "")
     out.write("\n")
 
 
 def to_flat(record: OutputRecord, out: TextIO) -> None:
     p = record.payload
-    if record.kind == "number_table":
-        if "rows" in p:
-            for n, row in enumerate(p["rows"]):
-                for k, value in enumerate(row):
-                    out.write(f"{n}\t{k}\t{value}\n")
-        else:
-            for n, value in enumerate(p["values"]):
-                out.write(f"{n}\t{value}\n")
-    elif record.kind == "matrix":
-        for n, row in enumerate(p["table"]):
-            for m, value in enumerate(row):
-                out.write(f"{n}\t{m}\t{value}\n")
+    if "values" in p:
+        for n, value in enumerate(p["values"]):
+            out.write(f"{n}\t{_fmt(value)}\n")
+    elif record.kind in ("number_table", "matrix"):
+        for n, row in enumerate(p["table"] if record.kind == "matrix" else p["rows"]):
+            out.write("".join(f"{n}\t{k}\t{_fmt(v)}\n" for k, v in enumerate(row)))
     elif record.kind == "identity_report":
         for r in p["results"]:
             state = "true" if r["pass"] else "false"
@@ -217,7 +236,7 @@ def to_flat(record: OutputRecord, out: TextIO) -> None:
             state = "true" if r["match"] else "false"
             out.write(
                 f"{r['matrix']}\t{r['row']}\t{r['col']}\t"
-                f"{r['printed']}\t{r['recomputed']}\t{state}\n"
+                f"{_fmt(r['printed'])}\t{_fmt(r['recomputed'])}\t{state}\n"
             )
 
 

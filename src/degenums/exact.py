@@ -286,8 +286,11 @@ class LambdaPoly:
         for i, n in enumerate(self._num):
             if n == 0:
                 continue
-            g = math.gcd(n, den)
-            t = str(n // g) if g == den else f"{n // g}/{den // g}"
+            if den == 1:
+                t = str(n)
+            else:
+                g = math.gcd(n, den)
+                t = str(n // g) if g == den else f"{n // g}/{den // g}"
             if i == 1:
                 t += "*L"
             elif i >= 2:

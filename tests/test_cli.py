@@ -428,6 +428,145 @@ def test_lambda_output_is_the_evaluated_symbolic_output(command, seed_dir, lam, 
     assert runs["flat", True] == "".join(flat)
 
 
+# -- the writers -----------------------------------------------------------------------
+
+
+def _seed_file(tmp_path, text):
+    path = tmp_path / "seed.txt"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def _flat_from_doc(doc):
+    # the flat rows the structured record describes
+    p = doc["payload"]
+    if "values" in p:
+        return "".join(f"{n}\t{v}\n" for n, v in enumerate(p["values"]))
+    if doc["kind"] in ("number_table", "matrix"):
+        table = p["table"] if doc["kind"] == "matrix" else p["rows"]
+        return "".join(f"{n}\t{k}\t{v}\n" for n, row in enumerate(table) for k, v in enumerate(row))
+    if doc["kind"] == "identity_report":
+        return "".join(f"{r['name']}\t{r['max_tested']}\t{json.dumps(r['pass'])}\n"
+                       for r in p["results"])
+    return "".join(
+        f"{e['matrix']}\t{e['row']}\t{e['col']}\t{e['printed']}\t{e['recomputed']}\t"
+        f"{json.dumps(e['match'])}\n"
+        for e in p["entries"]
+    )
+
+
+def _exact_texts(doc):
+    # every rendered exact value in the record
+    p = doc["payload"]
+    if doc["kind"] == "audit_report":
+        return [e[key] for e in p["entries"] for key in ("printed", "recomputed")]
+    if doc["kind"] == "identity_report":
+        return []
+    if "values" in p:
+        return p["values"]
+    return [v for row in (p["table"] if doc["kind"] == "matrix" else p["rows"]) for v in row]
+
+
+_EDGE_COMMANDS = [
+    ["numbers", "bernoulli", "--nmax", "0"],
+    ["numbers", "stirling1", "--nmax", "0"],
+    ["numbers", "euler", "--nmax", "3", "--lambda=0"],
+    ["numbers", "stirling2", "--nmax", "3", "--lambda=-3/7"],
+    ["numbers", "bell", "--nmax", "0", "--lambda=-3/7"],
+    ["matrix", "B", "--rows", "0"],
+    ["matrix", "A", "--seed", "half", "--rows", "0", "--lambda=0"],
+    ["matrix", "B", "--seed", "bell", "--rows", "3", "--lambda=-3/7"],
+    ["matrix", "A", "--seed", "custom", "--rows", "2"],
+    ["matrix", "B", "--seed", "custom", "--rows", "0", "--lambda=-3/7"],
+    ["matrix", "A", "--seed", "custom", "--rows", "2", "--lambda=0"],
+    ["verify", "--nmax", "0", "--order", "0"],
+    ["verify", "--nmax", "3", "--order", "2"],
+    ["audit"],
+]
+
+
+@pytest.mark.parametrize("argv", _EDGE_COMMANDS, ids=" ".join)
+def test_structured_output_is_exactly_json_dump(argv, tmp_path):
+    if "custom" in argv:
+        argv = argv + ["--custom-file", _seed_file(tmp_path, "1 + -1*L\n-5/3*L^2\n2\n")]
+    status, out, err = _capture(argv)
+    assert (status, err) == (0, "")
+    doc = json.loads(out)
+    assert out == json.dumps(doc, indent=2) + "\n"
+    lam = next((a.partition("=")[2] for a in argv if a.startswith("--lambda=")), None)
+    if doc["kind"] in ("number_table", "matrix"):
+        assert doc["payload"]["lambda"] == lam
+    for text in _exact_texts(doc):
+        assert isinstance(text, str)
+        assert (format_rat(parse_rat(text)) if lam else LambdaPoly.parse(text).render()) == text
+    status, flat, err = _capture(argv + ["--format", "flat"])
+    assert (status, err) == (0, "")
+    assert flat == _flat_from_doc(doc)
+
+
+_rationals = st.one_of(st.integers(-(2**200), 2**200), st.fractions())
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(_rationals, max_size=8), _rationals)
+def test_canonical_text_needs_no_json_escaping(coeffs, q):
+    # the premise that lets the structured writer quote renderings directly
+    for text in (LambdaPoly(coeffs).render(), format_rat(F(q))):
+        assert json.dumps(text) == '"' + text + '"'
+
+
+class _WriteRecorder(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+@pytest.mark.parametrize("fmt", ["structured", "flat"])
+def test_output_is_written_row_by_row(fmt):
+    out = _WriteRecorder()
+    with contextlib.redirect_stdout(out):
+        assert main(["matrix", "B", "--rows", "40", "--format", fmt]) == 0
+    text = out.getvalue()
+    if fmt == "structured":
+        # each row as it stands in the record, three levels deep
+        table = json.loads(text)["payload"]["table"]
+        rows = [json.dumps(row, indent=2).replace("\n", "\n      ") for row in table]
+    else:
+        by_row: dict[str, str] = {}
+        for line in text.splitlines(keepends=True):
+            n = line.partition("\t")[0]
+            by_row[n] = by_row.get(n, "") + line
+        rows = list(by_row.values())
+    assert len(rows) == 41
+    assert max(out.sizes) <= max(map(len, rows))
+    assert len(out.sizes) >= len(rows)
+
+
+@pytest.mark.parametrize("fmt", ["structured", "flat"])
+@pytest.mark.parametrize(
+    "argv, seed_text, message",
+    [
+        (["matrix", "B", "--seed", "custom", "--rows", "4"], "1\n1/2\n", "need at least 5"),
+        (["matrix", "B", "--seed", "custom", "--rows", "1"], "1\n0.5\n", "line 2"),
+        (["matrix", "B", "--rows", "201"], None, "--rows must be in 0..200"),
+        (["matrix", "A", "--rows", "-1"], None, "nonnegative"),
+        (["numbers", "bernoulli", "--nmax", "-1"], None, "nonnegative"),
+        (["numbers", "stirling1", "--nmax", "201", "--lambda=1/2"], None, "0..200"),
+        (["matrix", "B", "--rows", "0"], "1\n", "--custom-file is required"),
+    ],
+)
+def test_input_errors_exit_2_before_any_output(argv, seed_text, message, fmt, tmp_path, capsys):
+    if seed_text is not None:
+        argv = argv + ["--custom-file", _seed_file(tmp_path, seed_text)]
+    status, out, err = run_cli(capsys, *argv, "--format", fmt)
+    assert (status, out) == (2, "")
+    assert message in err
+
+
 # -- console entry point ---------------------------------------------------------------
 
 

@@ -422,6 +422,7 @@ _coefficients = st.one_of(
 
 @settings(deadline=None, max_examples=300)
 @given(st.lists(_coefficients, max_size=8), st.integers(1, 10**12))
+@example(coeffs=[7, 0, -(2**130), 1, 0, -1], den=1)  # denominator 1 throughout
 def test_render_matches_the_fraction_formula(coeffs, den):
     p = LambdaPoly(coeffs)
     for q in (p, p.scale(F(1, den)), -p):
