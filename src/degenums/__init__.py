@@ -31,7 +31,6 @@ from .numbers import (
     classical_bell,
     classical_bernoulli,
     classical_euler,
-    classical_oracles,
     euler_deg_poly_sequence,
     euler_deg_sequence,
     stirling1_table,

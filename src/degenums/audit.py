@@ -233,13 +233,13 @@ def stirling2_by_basis_expansion(nmax: int) -> StirlingTable:
     degenerate falling factorial of x in the classical falling-factorial
     basis by repeated synthetic division in x."""
     rows = []
+    p: list[LambdaPoly] = [ONE]
     for n in range(nmax + 1):
-        p: list[LambdaPoly] = [ONE]
-        for j in range(n):
-            # multiply by (x - jL)
+        if n:
+            # carry (x)_{n-1,L} into (x)_{n,L}: multiply by (x - (n-1)L)
             shifted = [ZERO] + p
             p = [
-                shifted[i] + (p[i] * LAM.scale(-j) if i < len(p) else ZERO)
+                shifted[i] + (p[i] * LAM.scale(1 - n) if i < len(p) else ZERO)
                 for i in range(len(shifted))
             ]
         row = []
@@ -468,9 +468,8 @@ def _id_derivation_rows(nmax: int, order: int) -> tuple[int, list[Pair]]:
     for seed in _all_seeds():
         f0 = TruncatedSeries(seed.values(base + 1))
         table = build_table("B", seed, base)
-        for n in range(cap + 1):
-            derived = apply_weighted_derivation(f0, n)
-            pairs.extend(zip(derived.coeffs, table.rows[n]))
+        for derived, row in zip(apply_weighted_derivation(f0, cap), table.rows):
+            pairs.extend(zip(derived.coeffs, row))
     return cap, pairs
 
 

@@ -38,7 +38,6 @@ __all__ = [
     "classical_bernoulli",
     "classical_euler",
     "classical_bell",
-    "classical_oracles",
 ]
 
 
@@ -189,10 +188,3 @@ def classical_bell(nmax: int) -> list[int]:
         row = nxt
         out.append(row[0])
     return out
-
-
-def classical_oracles(n: int) -> tuple[Fraction, Fraction, int]:
-    """(Bernoulli, Euler-at-0, Bell) classical values for a single index."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return classical_bernoulli(n)[n], classical_euler(n)[n], classical_bell(n)[n]

@@ -58,10 +58,6 @@ class TruncatedSeries:
     def constant(cls, value: LambdaPoly | Scalar, order: int) -> "TruncatedSeries":
         return cls((_as_poly(value),) + (ZERO,) * order)
 
-    @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls.constant(ZERO, order)
-
     @property
     def order(self) -> int:
         return len(self._coeffs) - 1
@@ -205,18 +201,20 @@ def log_lambda_series(order: int) -> TruncatedSeries:
     )
 
 
-def apply_weighted_derivation(f: TruncatedSeries, n: int) -> TruncatedSeries:
-    """Fold the operator step g -> (t-1) g' - j L g for j = 0..n-1.
+def apply_weighted_derivation(f: TruncatedSeries, n: int) -> tuple[TruncatedSeries, ...]:
+    """The rows (g_0, ..., g_n) of the operator g_{j+1} = (t-1) g_j' - j L g_j
+    from g_0 = f, each row carried into the next.
 
     Each step differentiates once, so one reliable top coefficient is lost
-    per step and the result is returned at order f.order - n rather than
-    padded with unreliable values.
+    per step and g_j is returned at order f.order - j rather than padded
+    with unreliable values.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > f.order:
         raise ValueError(f"need a series of order >= {n}, got order {f.order}")
     g = f
+    rows = [g]
     for j in range(n):
         d, minus_jlam = g.differentiate()._coeffs, LAM.scale(-j)
         g = TruncatedSeries(
@@ -225,7 +223,8 @@ def apply_weighted_derivation(f: TruncatedSeries, n: int) -> TruncatedSeries:
             )
             for m in range(len(d))
         )
-    return g
+        rows.append(g)
+    return tuple(rows)
 
 
 class NestedWeights:

@@ -307,8 +307,7 @@ def test_criterion_09_operator_reproduces_rows():
     for seed in (SequenceSpec.bernoulli(), SequenceSpec.half_powers()):
         f0 = TruncatedSeries(seed.values(base + 1))
         table = build_table("B", seed, base)
-        for n in range(7):
-            derived = apply_weighted_derivation(f0, n)
+        for n, derived in enumerate(apply_weighted_derivation(f0, 6)):
             ok = ok and derived.coeffs == table.rows[n]
     _report(9, "iterated weighted derivation reproduces table rows", ok)
     assert ok

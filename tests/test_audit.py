@@ -12,7 +12,7 @@ from degenums.audit import (
 )
 from degenums.exact import LAM, ONE, LambdaPoly
 from degenums.numbers import bernoulli_deg_sequence, classical_bernoulli, stirling2_table
-from degenums.series import StirlingTable
+from degenums.series import StirlingTable, TruncatedSeries
 
 F = Fraction
 P = LambdaPoly.parse
@@ -100,11 +100,12 @@ def test_audit_never_fails_on_mismatch():
 
 
 def test_basis_expansion_matches_recurrence():
-    bas = stirling2_by_basis_expansion(10)
-    rec = stirling2_table(10)
-    for n in range(11):
-        for k in range(n + 1):
-            assert bas.entry(n, k) == rec.entry(n, k)
+    for nmax in (10, 30):
+        bas = stirling2_by_basis_expansion(nmax)
+        rec = stirling2_table(nmax)
+        for n in range(nmax + 1):
+            for k in range(n + 1):
+                assert bas.entry(n, k) == rec.entry(n, k)
 
 
 def test_classical_table_recovers_bernoulli():
@@ -232,22 +233,71 @@ def test_identity_suite_builds_each_power_table_once(monkeypatch):
     assert info.hits == len(requests) - info.misses
 
 
+def _with_wrong_cell(triangle):
+    # the Stirling triangle builder with entry (5, 2) off by L
+    def broken(nmax):
+        rows = [list(row) for row in triangle(nmax).entries]
+        rows[5][2] = rows[5][2] + LAM
+        return StirlingTable(tuple(map(tuple, rows)))
+
+    return broken
+
+
 @pytest.mark.parametrize("route", ["stirling1_table", "stirling1_from_series"])
 def test_stirling1_inversions_check_both_first_kind_routes(monkeypatch, route):
     # one wrong cell, in the row recurrence or in the series triangle, fails
     # the identity
     from degenums import audit
 
-    real = getattr(audit, route)
-
-    def broken(nmax):
-        rows = [list(row) for row in real(nmax).entries]
-        rows[5][2] = rows[5][2] + LAM
-        return StirlingTable(tuple(map(tuple, rows)))
-
     assert {r.name: r.passed for r in run_identity_suite(8, 0)}["stirling1_inversions"]
-    monkeypatch.setattr(audit, route, broken)
+    monkeypatch.setattr(audit, route, _with_wrong_cell(getattr(audit, route)))
     assert not {r.name: r.passed for r in run_identity_suite(8, 0)}["stirling1_inversions"]
+
+
+@pytest.mark.parametrize("route", ["stirling2_by_basis_expansion", "stirling2_from_series"])
+def test_stirling2_three_way_checks_both_oracle_routes(monkeypatch, route):
+    # one wrong cell, in the carried basis expansion or in the series
+    # triangle, fails the identity
+    from degenums import audit
+
+    assert {r.name: r.passed for r in run_identity_suite(8, 0)}["stirling2_three_way"]
+    monkeypatch.setattr(audit, route, _with_wrong_cell(getattr(audit, route)))
+    assert not {r.name: r.passed for r in run_identity_suite(8, 0)}["stirling2_three_way"]
+
+
+def test_derivation_operator_rows_checks_every_carried_row(monkeypatch):
+    # one wrong coefficient in carried row 4 fails the identity
+    from degenums import audit
+
+    real = audit.apply_weighted_derivation
+
+    def broken(f, n):
+        rows = list(real(f, n))
+        cs = list(rows[4].coeffs)
+        cs[1] = cs[1] + LAM
+        rows[4] = TruncatedSeries(cs)
+        return tuple(rows)
+
+    assert {r.name: r.passed for r in run_identity_suite(0, 8)}["derivation_operator_rows"]
+    monkeypatch.setattr(audit, "apply_weighted_derivation", broken)
+    assert not {r.name: r.passed for r in run_identity_suite(0, 8)}["derivation_operator_rows"]
+
+
+def test_identity_suite_differentiates_once_per_carried_row(monkeypatch):
+    # derivation_operator_rows carries 6 rows for each of 3 seeds, and no
+    # other identity differentiates a series
+    from degenums import series
+
+    calls = []
+    real = series.TruncatedSeries.differentiate
+
+    def counting(self):
+        calls.append(self.order)
+        return real(self)
+
+    monkeypatch.setattr(series.TruncatedSeries, "differentiate", counting)
+    assert all(r.passed for r in run_identity_suite(30, 30))
+    assert len(calls) == 18
 
 
 def test_identity_suite_degenerate_ranges():

@@ -18,7 +18,6 @@ from degenums.numbers import (
     classical_bell,
     classical_bernoulli,
     classical_euler,
-    classical_oracles,
     euler_deg_poly_sequence,
     euler_deg_sequence,
     stirling1_table,
@@ -444,8 +443,8 @@ def test_classical_bell_table():
 
 
 def test_classical_oracles_tuple():
-    assert classical_oracles(2) == (F(1, 6), 0, 2)
-    assert classical_oracles(1) == (F(-1, 2), F(-1, 2), 1)
-    assert classical_oracles(3) == (0, F(1, 4), 5)
-    with pytest.raises(ValueError):
-        classical_oracles(-1)
+    # (Bernoulli, Euler-at-0, Bell) at n = 1, 2, 3, read from one prefix each
+    oracles = list(zip(classical_bernoulli(3), classical_euler(3), classical_bell(3)))
+    assert oracles[2] == (F(1, 6), 0, 2)
+    assert oracles[1] == (F(-1, 2), F(-1, 2), 1)
+    assert oracles[3] == (0, F(1, 4), 5)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from degenums.algorithms import SequenceSpec, build_table
 from degenums.exact import LAM, ONE, ZERO, LambdaPoly
 from degenums.numbers import _convolve_at, stirling1_table, stirling2_table
 from degenums.series import (
@@ -58,7 +59,7 @@ def test_mul_truncates_to_smaller_order():
 
 def test_add_identity_and_mixed_orders():
     f = TruncatedSeries([1, 2, 3, 4])
-    assert f + TruncatedSeries.zero(5) == f.truncate(3)
+    assert f + TruncatedSeries.constant(ZERO, 5) == f.truncate(3)
     g = TruncatedSeries([1, 1])
     assert (f + g).order == 1
     assert (f - g).coeffs == (ZERO, ONE)
@@ -336,21 +337,30 @@ def _half_powers_ogf(order: int) -> TruncatedSeries:
 
 def test_weighted_derivation_identity_at_zero_steps():
     f = _half_powers_ogf(6)
-    assert apply_weighted_derivation(f, 0) == f
+    assert apply_weighted_derivation(f, 0) == (f,)
 
 
 def test_weighted_derivation_hand_folds():
     f = _half_powers_ogf(8)
-    assert apply_weighted_derivation(f, 1).coeff(0) == LambdaPoly((F(-1, 2),))
-    assert apply_weighted_derivation(f, 2).coeff(0) == LAM.scale(F(1, 2))
+    rows = apply_weighted_derivation(f, 2)
+    assert rows[1].coeff(0) == LambdaPoly((F(-1, 2),))
+    assert rows[2].coeff(0) == LAM.scale(F(1, 2))
 
 
 def test_weighted_derivation_order_bookkeeping():
     f = _half_powers_ogf(8)
-    for n in range(9):
-        assert apply_weighted_derivation(f, n).order == 8 - n
+    rows = apply_weighted_derivation(f, 8)
+    assert [g.order for g in rows] == [8 - n for n in range(9)]
     with pytest.raises(ValueError):
         apply_weighted_derivation(f, 9)
+
+
+@pytest.mark.parametrize("seed", ["bernoulli", "half_powers", "bell"])
+def test_weighted_derivation_rows_are_the_kind_b_table(seed):
+    # the carried rows reach the full depth of a 30-row kind-B run
+    spec = getattr(SequenceSpec, seed)()
+    rows = apply_weighted_derivation(TruncatedSeries(spec.values(31)), 30)
+    assert tuple(g.coeffs for g in rows) == build_table("B", spec, 30).rows
 
 
 # -- Stirling extraction -------------------------------------------------------
