@@ -33,7 +33,7 @@ from .exact import (
     ring_one,
     times_linear_add,
 )
-from .numbers import stirling2_table
+from .numbers import _KEPT_ROWS, stirling2_table
 from .series import TruncatedSeries, e_lambda_series, log_lambda_series
 
 __all__ = [
@@ -42,6 +42,7 @@ __all__ = [
     "AlgorithmTable",
     "build_table",
     "final_sequence",
+    "final_column",
     "closed_form_final_sequence",
     "transform_check",
     "inverse_transform_check",
@@ -154,6 +155,30 @@ def final_sequence(table: AlgorithmTable) -> list[Value]:
     return [row[0] for row in table.rows]
 
 
+# Column 0 of each symbolic run built so far, keyed by (kind, seed), so that
+# the identities that read the same final sequence run its table once.  Row
+# n's column 0 reads only seed entries 0..n, so a shorter run's column is a
+# prefix of a longer run's.  Only the column is kept, never the table, and
+# only for runs of at most _KEPT_ROWS rows; at most six keys (the bundled
+# pairs) are kept.
+_final_columns: dict[tuple[str, SequenceSpec], tuple[LambdaPoly, ...]] = {}
+
+
+def final_column(kind: str, seed: SequenceSpec, rows: int) -> list[LambdaPoly]:
+    """final_sequence(build_table(kind, seed, rows)), over polynomials in L,
+    served from the kept column of an equal or longer run when there is one."""
+    key = (kind, seed)
+    kept = _final_columns.get(key, ())
+    if 0 <= rows < len(kept):
+        return list(kept[: rows + 1])
+    column = final_sequence(build_table(kind, seed, rows))
+    if rows <= _KEPT_ROWS:
+        if key not in _final_columns and len(_final_columns) >= 6:
+            _final_columns.clear()
+        _final_columns[key] = tuple(column)
+    return column
+
+
 def closed_form_final_sequence(kind: str, seed: SequenceSpec, nmax: int) -> list[LambdaPoly]:
     """The final sequence directly from weighted Stirling sums, bypassing
     the table recurrence."""
@@ -169,7 +194,7 @@ def closed_form_final_sequence(kind: str, seed: SequenceSpec, nmax: int) -> list
 
 
 def _final_egf(kind: str, seed: SequenceSpec, order: int) -> TruncatedSeries:
-    finals = final_sequence(build_table(kind, seed, order))
+    finals = final_column(kind, seed, order)
     return TruncatedSeries(
         finals[n].scale(Fraction(1, math.factorial(n))) for n in range(order + 1)
     )

@@ -79,13 +79,15 @@ class LambdaPoly:
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         fracs = []
         for c in coeffs:
-            if isinstance(c, float):
-                raise TypeError("float coefficients are not exact; use Fraction or int")
-            fracs.append(Fraction(c))
+            if not isinstance(c, (int, Fraction)):
+                if isinstance(c, float):
+                    raise TypeError("float coefficients are not exact; use Fraction or int")
+                c = Fraction(c)
+            fracs.append(c)
         while fracs and fracs[-1] == 0:
             fracs.pop()
         den = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
-        nums = [int(f * den) for f in fracs]
+        nums = [f.numerator * (den // f.denominator) for f in fracs]
         g = math.gcd(den, *nums)
         object.__setattr__(self, "_num", tuple(n // g for n in nums))
         object.__setattr__(self, "_den", den // g)
@@ -227,7 +229,6 @@ class LambdaPoly:
         """Multiply by a rational scalar."""
         if not isinstance(q, (int, Fraction)):
             raise TypeError(f"scale takes an int or a Fraction, not {type(q).__name__}")
-        q = Fraction(q)
         if q == 0 or not self._num:
             return ZERO
         return LambdaPoly._raw(

@@ -159,6 +159,8 @@ def euler_deg_poly_sequence(nmax: int, x: Scalar, lam: Value = LAM) -> list[Valu
 
 def classical_bernoulli(nmax: int) -> list[Fraction]:
     """Bernoulli numbers (B_1 = -1/2) via the binomial recurrence."""
+    if nmax < 0:
+        raise ValueError("nmax must be nonnegative")
     out = [Fraction(1)]
     for n in range(1, nmax + 1):
         s = sum(math.comb(n + 1, k) * out[k] for k in range(n))
@@ -168,6 +170,8 @@ def classical_bernoulli(nmax: int) -> list[Fraction]:
 
 def classical_euler(nmax: int) -> list[Fraction]:
     """Euler polynomial values at 0, from the rational series of 2/(e^t + 1)."""
+    if nmax < 0:
+        raise ValueError("nmax must be nonnegative")
     denom = [Fraction(1)] + [
         Fraction(1, 2 * math.factorial(k)) for k in range(1, nmax + 1)
     ]
@@ -179,6 +183,8 @@ def classical_euler(nmax: int) -> list[Fraction]:
 
 def classical_bell(nmax: int) -> list[int]:
     """Bell numbers via the Bell triangle."""
+    if nmax < 0:
+        raise ValueError("nmax must be nonnegative")
     out = [1]
     row = [1]
     for _ in range(nmax):

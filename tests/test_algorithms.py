@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from degenums import algorithms
 from degenums.algorithms import (
     SequenceSpec,
     build_table,
     closed_form_final_sequence,
+    final_column,
     final_sequence,
     inverse_transform_check,
     transform_check,
@@ -256,3 +258,61 @@ def test_lambda_zero_degeneration_small():
             for n in range(rows + 1):
                 for m in range(rows - n + 1):
                     assert table.entry(n, m).eval_at(0) == classical[n][m]
+
+
+@pytest.mark.parametrize(
+    "sizes, builds", [((24, 20, 5, 0), 1), ((0, 5, 20, 24), 4)], ids=["long_first", "short_first"]
+)
+def test_final_column_is_the_final_sequence_of_the_run(monkeypatch, sizes, builds):
+    # a request for fewer rows than a kept column is answered with a prefix
+    calls = []
+    real = algorithms.build_table
+
+    def counting(kind, seed, rows, lam=LAM):
+        calls.append((kind, rows))
+        return real(kind, seed, rows, lam)
+
+    monkeypatch.setattr(algorithms, "_final_columns", {})
+    monkeypatch.setattr(algorithms, "build_table", counting)
+    for kind in ("B", "A"):
+        for seed in ALL_SEEDS:
+            for rows in sizes:
+                assert final_column(kind, seed, rows) == final_sequence(build_table(kind, seed, rows))
+    assert len(calls) == 6 * builds
+    assert sorted(map(len, algorithms._final_columns.values())) == [25] * 6
+
+
+def test_final_column_keeps_short_runs_and_six_keys(monkeypatch):
+    store = {}
+    monkeypatch.setattr(algorithms, "_final_columns", store)
+    seed = SequenceSpec.half_powers()
+    long = final_column("B", seed, 33)
+    assert store == {}
+    assert final_column("B", seed, 32) == long[:33]
+    assert store == {("B", seed): tuple(long[:33])}
+    for kind in ("B", "A"):
+        for s in ALL_SEEDS:
+            final_column(kind, s, 3)
+    assert len(store) == 6
+    custom = SequenceSpec.custom([ONE, LAM, ZERO, ONE])
+    assert final_column("B", custom, 3) == final_sequence(build_table("B", custom, 3))
+    assert list(store) == [("B", custom)]
+
+
+def test_final_column_rejects_what_build_table_rejects(monkeypatch):
+    monkeypatch.setattr(algorithms, "_final_columns", {})
+    final_column("B", SequenceSpec.bell(), 4)
+    with pytest.raises(ValueError, match="rows must be nonnegative"):
+        final_column("B", SequenceSpec.bell(), -1)
+    with pytest.raises(ValueError, match="kind must be"):
+        final_column("C", SequenceSpec.bell(), 2)
+
+
+def test_matrix_command_leaves_the_column_store_empty(monkeypatch, capsys):
+    from degenums.cli import main
+
+    store = {}
+    monkeypatch.setattr(algorithms, "_final_columns", store)
+    assert main(["matrix", "B", "--rows", "40"]) == 0
+    capsys.readouterr()
+    assert store == {}

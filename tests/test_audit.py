@@ -233,6 +233,52 @@ def test_identity_suite_builds_each_power_table_once(monkeypatch):
     assert info.hits == len(requests) - info.misses
 
 
+def test_identity_suite_runs_each_final_column_once(monkeypatch):
+    # symbolic table runs: 6 for the closed form (which the named families
+    # and both transforms then read), 6 for the degeneration, 3 for the
+    # derivation rows and 6 for the scalar lane
+    from degenums import algorithms, audit
+
+    calls = []
+    real = algorithms.build_table
+
+    def counting(kind, seed, rows, lam=LAM):
+        if lam is LAM:
+            calls.append((kind, seed, rows))
+        return real(kind, seed, rows, lam)
+
+    monkeypatch.setattr(algorithms, "_final_columns", {})
+    monkeypatch.setattr(algorithms, "build_table", counting)
+    monkeypatch.setattr(audit, "build_table", counting)
+    assert all(r.passed for r in run_identity_suite(30, 30))
+    assert len(calls) == 21
+    assert sorted(rows for _, _, rows in calls) == [12] * 15 + [24] * 6
+
+
+def test_shared_final_column_with_a_wrong_cell_fails_every_reader(monkeypatch):
+    # one wrong cell in column 0 of the table runs, stored once and read by
+    # three identities, fails all three
+    from degenums import algorithms
+
+    readers = ("final_vs_closed_form", "named_family_identification", "ogf_egf_transforms")
+    real = algorithms.build_table
+
+    def broken(kind, seed, rows, lam=LAM):
+        table = real(kind, seed, rows, lam)
+        if rows < 3:
+            return table
+        cells = [list(row) for row in table.rows]
+        cells[3][0] = cells[3][0] + LAM
+        return algorithms.AlgorithmTable(tuple(map(tuple, cells)))
+
+    monkeypatch.setattr(algorithms, "_final_columns", {})
+    assert all(r.passed for r in run_identity_suite(8, 8))
+    monkeypatch.setattr(algorithms, "_final_columns", {})
+    monkeypatch.setattr(algorithms, "build_table", broken)
+    passed = {r.name: r.passed for r in run_identity_suite(8, 8)}
+    assert [name for name in readers if passed[name]] == []
+
+
 def _with_wrong_cell(triangle):
     # the Stirling triangle builder with entry (5, 2) off by L
     def broken(nmax):

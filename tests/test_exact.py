@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -95,6 +96,31 @@ def test_cancellation_gives_canonical_zero():
 def test_float_coefficients_rejected():
     with pytest.raises(TypeError):
         LambdaPoly((0.5,))
+
+
+_int_or_fraction = st.one_of(
+    st.just(0),
+    st.integers(-(2**70), 2**70),
+    st.fractions(max_denominator=10**9),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(_int_or_fraction, max_size=8))
+@example(cs=[F(1, 2), F(-1, 2), 0, 0])  # trailing zeros
+@example(cs=[F(-6, 4), 3, F(9, -6), F(-3, 2) + F(3, 2)])  # cancelling signs
+@example(cs=[6, -4, 10])  # common factor, denominator 1
+def test_constructor_gives_the_canonical_vector(cs):
+    p = LambdaPoly(cs)
+    expected = [F(c) for c in cs]
+    while expected and expected[-1] == 0:
+        expected.pop()
+    assert p.coeffs == tuple(expected)
+    assert p._den > 0 and math.gcd(p._den, *p._num) == 1
+
+
+def test_constructor_still_reads_other_exact_inputs():
+    assert LambdaPoly(["1/2"]).coeffs == LambdaPoly([Decimal("0.5")]).coeffs == (F(1, 2),)
 
 
 def test_float_scale_rejected():

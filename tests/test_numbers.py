@@ -442,6 +442,13 @@ def test_classical_bell_table():
     assert classical_bell(8) == [1, 1, 2, 5, 15, 52, 203, 877, 4140]
 
 
+@pytest.mark.parametrize("oracle", [classical_bernoulli, classical_euler, classical_bell])
+def test_classical_oracles_reject_a_negative_nmax(oracle):
+    with pytest.raises(ValueError, match="nmax must be nonnegative"):
+        oracle(-1)
+    assert len(oracle(0)) == 1
+
+
 def test_classical_oracles_tuple():
     # (Bernoulli, Euler-at-0, Bell) at n = 1, 2, 3, read from one prefix each
     oracles = list(zip(classical_bernoulli(3), classical_euler(3), classical_bell(3)))
