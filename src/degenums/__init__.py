@@ -41,7 +41,6 @@ from .algorithms import (
     SequenceSpec,
     build_table,
     closed_form_final_sequence,
-    final_column,
     final_sequence,
     inverse_transform_check,
     transform_check,

@@ -14,6 +14,9 @@ the degenerate Bernoulli and Euler polynomial values at 1 (kind A); the
 closed forms and generating-function transforms here give independent
 routes to the same values.  The seeds and the table run take the value of L
 as ``lam``: LAM (the default) for polynomials in L, or a rational value.
+``build_table`` keeps the longest symbolic run of at most 32 rows of each
+(kind, seed) and answers a shorter request with its sub-trapezoid, so the
+identities that read the same run build it once.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ __all__ = [
     "AlgorithmTable",
     "build_table",
     "final_sequence",
-    "final_column",
     "closed_form_final_sequence",
     "transform_check",
     "inverse_transform_check",
@@ -129,6 +131,14 @@ class AlgorithmTable:
         return len(self.rows) - 1
 
 
+# The longest symbolic run of at most _KEPT_ROWS rows built so far for each
+# (kind, seed), so that the identities that read the same run build it once.
+# Column m of row n reads only seed entries 0..n+m, so a shorter run is the
+# sub-trapezoid of a longer one.  Rational runs and longer runs are not
+# kept, and at most six keys (the bundled pairs) are.
+_kept_runs: dict[tuple[str, SequenceSpec], AlgorithmTable] = {}
+
+
 def build_table(kind: str, seed: SequenceSpec, rows: int, lam: Value = LAM) -> AlgorithmTable:
     """Run the kind-B or kind-A recurrence for the given number of rows, over
     polynomials in L (lam = LAM) or at L = lam."""
@@ -137,6 +147,10 @@ def build_table(kind: str, seed: SequenceSpec, rows: int, lam: Value = LAM) -> A
     if rows < 0:
         raise ValueError("rows must be nonnegative")
     check_lam(lam, "build_table")  # before the seed, which a custom seed never checks
+    key = (kind, seed) if lam is LAM and rows <= _KEPT_ROWS else None
+    kept = _kept_runs.get(key)
+    if kept is not None and rows <= kept.row_count:
+        return AlgorithmTable(tuple(kept.rows[n][: rows + 1 - n] for n in range(rows + 1)))
     shift = 0 if kind == "B" else 1
     table: list[tuple[Value, ...]] = [tuple(seed.values(rows + 1, lam))]
     for n in range(1, rows + 1):
@@ -147,36 +161,17 @@ def build_table(kind: str, seed: SequenceSpec, rows: int, lam: Value = LAM) -> A
                 for m in range(len(prev) - 1)
             )
         )
-    return AlgorithmTable(tuple(table))
+    run = AlgorithmTable(tuple(table))
+    if key is not None:
+        if key not in _kept_runs and len(_kept_runs) >= 6:
+            _kept_runs.clear()
+        _kept_runs[key] = run
+    return run
 
 
 def final_sequence(table: AlgorithmTable) -> list[Value]:
     """Column 0 of the trapezoid, one value per row."""
     return [row[0] for row in table.rows]
-
-
-# Column 0 of each symbolic run built so far, keyed by (kind, seed), so that
-# the identities that read the same final sequence run its table once.  Row
-# n's column 0 reads only seed entries 0..n, so a shorter run's column is a
-# prefix of a longer run's.  Only the column is kept, never the table, and
-# only for runs of at most _KEPT_ROWS rows; at most six keys (the bundled
-# pairs) are kept.
-_final_columns: dict[tuple[str, SequenceSpec], tuple[LambdaPoly, ...]] = {}
-
-
-def final_column(kind: str, seed: SequenceSpec, rows: int) -> list[LambdaPoly]:
-    """final_sequence(build_table(kind, seed, rows)), over polynomials in L,
-    served from the kept column of an equal or longer run when there is one."""
-    key = (kind, seed)
-    kept = _final_columns.get(key, ())
-    if 0 <= rows < len(kept):
-        return list(kept[: rows + 1])
-    column = final_sequence(build_table(kind, seed, rows))
-    if rows <= _KEPT_ROWS:
-        if key not in _final_columns and len(_final_columns) >= 6:
-            _final_columns.clear()
-        _final_columns[key] = tuple(column)
-    return column
 
 
 def closed_form_final_sequence(kind: str, seed: SequenceSpec, nmax: int) -> list[LambdaPoly]:
@@ -194,7 +189,7 @@ def closed_form_final_sequence(kind: str, seed: SequenceSpec, nmax: int) -> list
 
 
 def _final_egf(kind: str, seed: SequenceSpec, order: int) -> TruncatedSeries:
-    finals = final_column(kind, seed, order)
+    finals = final_sequence(build_table(kind, seed, order))
     return TruncatedSeries(
         finals[n].scale(Fraction(1, math.factorial(n))) for n in range(order + 1)
     )

@@ -23,7 +23,7 @@ from .algorithms import (
     SequenceSpec,
     build_table,
     closed_form_final_sequence,
-    final_column,
+    final_sequence,
     inverse_transform_check,
     transform_check,
 )
@@ -385,7 +385,7 @@ def _id_final_vs_closed_form(nmax: int, order: int) -> tuple[int, list[Pair]]:
     pairs: list[Pair] = []
     for kind in ("B", "A"):
         for seed in _all_seeds():
-            finals = final_column(kind, seed, cap)
+            finals = final_sequence(build_table(kind, seed, cap))
             closed = closed_form_final_sequence(kind, seed, cap)
             pairs.extend(zip(finals, closed))
     return cap, pairs
@@ -394,15 +394,15 @@ def _id_final_vs_closed_form(nmax: int, order: int) -> tuple[int, list[Pair]]:
 def _id_named_families(nmax: int, order: int) -> tuple[int, list[Pair]]:
     cap = min(nmax, 24)
     pairs: list[Pair] = []
-    b_bern = final_column("B", SequenceSpec.bernoulli(), cap)
+    b_bern = final_sequence(build_table("B", SequenceSpec.bernoulli(), cap))
     pairs.extend(zip(b_bern, bernoulli_deg_sequence(cap)))
-    b_half = final_column("B", SequenceSpec.half_powers(), cap)
+    b_half = final_sequence(build_table("B", SequenceSpec.half_powers(), cap))
     pairs.extend(zip(b_half, euler_deg_sequence(cap)))
-    b_bell = final_column("B", SequenceSpec.bell(), cap)
+    b_bell = final_sequence(build_table("B", SequenceSpec.bell(), cap))
     pairs.extend(zip(b_bell[1:], bell_deg_sequence(cap)[1:]))
-    a_bern = final_column("A", SequenceSpec.bernoulli(), cap)
+    a_bern = final_sequence(build_table("A", SequenceSpec.bernoulli(), cap))
     pairs.extend(zip(a_bern, bernoulli_deg_poly_sequence(cap, 1)))
-    a_half = final_column("A", SequenceSpec.half_powers(), cap)
+    a_half = final_sequence(build_table("A", SequenceSpec.half_powers(), cap))
     pairs.extend(zip(a_half, euler_deg_poly_sequence(cap, 1)))
     return cap, pairs
 

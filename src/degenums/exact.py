@@ -84,13 +84,10 @@ class LambdaPoly:
                     raise TypeError("float coefficients are not exact; use Fraction or int")
                 c = Fraction(c)
             fracs.append(c)
-        while fracs and fracs[-1] == 0:
-            fracs.pop()
         den = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
-        nums = [f.numerator * (den // f.denominator) for f in fracs]
-        g = math.gcd(den, *nums)
-        object.__setattr__(self, "_num", tuple(n // g for n in nums))
-        object.__setattr__(self, "_den", den // g)
+        p = LambdaPoly._raw([f.numerator * (den // f.denominator) for f in fracs], den)
+        object.__setattr__(self, "_num", p._num)
+        object.__setattr__(self, "_den", p._den)
 
     @classmethod
     def _raw(cls, nums: list[int], den: int) -> "LambdaPoly":

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,6 @@ from degenums.algorithms import (
     SequenceSpec,
     build_table,
     closed_form_final_sequence,
-    final_column,
     final_sequence,
     inverse_transform_check,
     transform_check,
@@ -260,59 +260,102 @@ def test_lambda_zero_degeneration_small():
                     assert table.entry(n, m).eval_at(0) == classical[n][m]
 
 
+def _built_afresh(kind, seed, rows):
+    # the run built with an empty store; the store is restored afterwards
+    with patch.dict(algorithms._kept_runs, clear=True):
+        return build_table(kind, seed, rows)
+
+
 @pytest.mark.parametrize(
-    "sizes, builds", [((24, 20, 5, 0), 1), ((0, 5, 20, 24), 4)], ids=["long_first", "short_first"]
+    "sizes, builds",
+    [((24, 20, 12, 5, 0), 1), ((0, 5, 12, 20, 24), 5)],
+    ids=["long_first", "short_first"],
 )
-def test_final_column_is_the_final_sequence_of_the_run(monkeypatch, sizes, builds):
-    # a request for fewer rows than a kept column is answered with a prefix
-    calls = []
-    real = algorithms.build_table
+def test_kept_run_answers_shorter_requests(monkeypatch, sizes, builds):
+    # a request for fewer rows than a kept run is answered with its
+    # sub-trapezoid; each run reads its seed once
+    fresh = {
+        (kind, seed, rows): _built_afresh(kind, seed, rows)
+        for kind in ("B", "A") for seed in ALL_SEEDS for rows in sizes
+    }
+    runs = []
+    real = SequenceSpec.values
 
-    def counting(kind, seed, rows, lam=LAM):
-        calls.append((kind, rows))
-        return real(kind, seed, rows, lam)
+    def counting(self, count, lam=LAM):
+        runs.append(count)
+        return real(self, count, lam)
 
-    monkeypatch.setattr(algorithms, "_final_columns", {})
-    monkeypatch.setattr(algorithms, "build_table", counting)
-    for kind in ("B", "A"):
-        for seed in ALL_SEEDS:
-            for rows in sizes:
-                assert final_column(kind, seed, rows) == final_sequence(build_table(kind, seed, rows))
-    assert len(calls) == 6 * builds
-    assert sorted(map(len, algorithms._final_columns.values())) == [25] * 6
+    monkeypatch.setattr(algorithms, "_kept_runs", {})
+    monkeypatch.setattr(SequenceSpec, "values", counting)
+    for (kind, seed, rows), table in fresh.items():
+        assert build_table(kind, seed, rows) == table
+    assert len(runs) == 6 * builds
+    assert [t.row_count for t in algorithms._kept_runs.values()] == [24] * 6
 
 
-def test_final_column_keeps_short_runs_and_six_keys(monkeypatch):
+def test_build_table_keeps_runs_of_at_most_32_rows_and_six_keys(monkeypatch):
     store = {}
-    monkeypatch.setattr(algorithms, "_final_columns", store)
+    monkeypatch.setattr(algorithms, "_kept_runs", store)
     seed = SequenceSpec.half_powers()
-    long = final_column("B", seed, 33)
+    long = build_table("B", seed, 33)
     assert store == {}
-    assert final_column("B", seed, 32) == long[:33]
-    assert store == {("B", seed): tuple(long[:33])}
+    run = build_table("B", seed, 32)
+    assert store == {("B", seed): run}
+    assert run.rows == tuple(row[: 33 - n] for n, row in enumerate(long.rows[:33]))
     for kind in ("B", "A"):
         for s in ALL_SEEDS:
-            final_column(kind, s, 3)
+            build_table(kind, s, 3)
     assert len(store) == 6
     custom = SequenceSpec.custom([ONE, LAM, ZERO, ONE])
-    assert final_column("B", custom, 3) == final_sequence(build_table("B", custom, 3))
+    assert build_table("B", custom, 3) == _built_afresh("B", custom, 3)
     assert list(store) == [("B", custom)]
 
 
-def test_final_column_rejects_what_build_table_rejects(monkeypatch):
-    monkeypatch.setattr(algorithms, "_final_columns", {})
-    final_column("B", SequenceSpec.bell(), 4)
+@pytest.mark.parametrize("lam", [F(1, 2), F(0), 2])
+def test_rational_runs_are_not_kept(monkeypatch, lam):
+    store = {}
+    monkeypatch.setattr(algorithms, "_kept_runs", store)
+    for kind in ("B", "A"):
+        for seed in ALL_SEEDS:
+            build_table(kind, seed, 5, lam)
+    assert store == {}
+
+
+def test_build_table_validates_before_the_store(monkeypatch):
+    monkeypatch.setattr(algorithms, "_kept_runs", {})
+    build_table("B", SequenceSpec.bell(), 4)
     with pytest.raises(ValueError, match="rows must be nonnegative"):
-        final_column("B", SequenceSpec.bell(), -1)
+        build_table("B", SequenceSpec.bell(), -1)
     with pytest.raises(ValueError, match="kind must be"):
-        final_column("C", SequenceSpec.bell(), 2)
+        build_table("C", SequenceSpec.bell(), 2)
+    with pytest.raises(TypeError, match="build_table"):
+        build_table("B", SequenceSpec.bell(), 2, 0.5)
 
 
-def test_matrix_command_leaves_the_column_store_empty(monkeypatch, capsys):
+def test_matrix_command_leaves_the_run_store_empty(monkeypatch, capsys):
     from degenums.cli import main
 
     store = {}
-    monkeypatch.setattr(algorithms, "_final_columns", store)
+    monkeypatch.setattr(algorithms, "_kept_runs", store)
     assert main(["matrix", "B", "--rows", "40"]) == 0
     capsys.readouterr()
     assert store == {}
+
+
+_small_polys = st.lists(
+    st.fractions(min_value=-3, max_value=3, max_denominator=4), max_size=4
+).map(LambdaPoly)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from("BA"), st.lists(_small_polys, min_size=1, max_size=11), st.data())
+def test_sub_trapezoid_of_a_longer_run_is_the_shorter_run(kind, values, data):
+    # the fact the run store rests on: column m of row n reads only seed
+    # entries 0..n+m
+    seed = SequenceSpec.custom(values)
+    big = data.draw(st.integers(0, len(values) - 1), label="R")
+    small = data.draw(st.integers(0, big), label="r")
+    long = _built_afresh(kind, seed, big)
+    assert _built_afresh(kind, seed, small).rows == tuple(
+        row[: small + 1 - n] for n, row in enumerate(long.rows[: small + 1])
+    )

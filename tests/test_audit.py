@@ -233,50 +233,50 @@ def test_identity_suite_builds_each_power_table_once(monkeypatch):
     assert info.hits == len(requests) - info.misses
 
 
-def test_identity_suite_runs_each_final_column_once(monkeypatch):
-    # symbolic table runs: 6 for the closed form (which the named families
-    # and both transforms then read), 6 for the degeneration, 3 for the
-    # derivation rows and 6 for the scalar lane
-    from degenums import algorithms, audit
-
-    calls = []
-    real = algorithms.build_table
-
-    def counting(kind, seed, rows, lam=LAM):
-        if lam is LAM:
-            calls.append((kind, seed, rows))
-        return real(kind, seed, rows, lam)
-
-    monkeypatch.setattr(algorithms, "_final_columns", {})
-    monkeypatch.setattr(algorithms, "build_table", counting)
-    monkeypatch.setattr(audit, "build_table", counting)
-    assert all(r.passed for r in run_identity_suite(30, 30))
-    assert len(calls) == 21
-    assert sorted(rows for _, _, rows in calls) == [12] * 15 + [24] * 6
-
-
-def test_shared_final_column_with_a_wrong_cell_fails_every_reader(monkeypatch):
-    # one wrong cell in column 0 of the table runs, stored once and read by
-    # three identities, fails all three
+def test_identity_suite_runs_each_kind_ab_run_once(monkeypatch):
+    # symbolic recurrence cells: one 24-row run (300 cells) for each of the
+    # six (kind, seed) pairs, which the 20- and 12-row readers then take
+    # sub-trapezoids of; 2970 when the 15 twelve-row runs were built afresh
     from degenums import algorithms
 
-    readers = ("final_vs_closed_form", "named_family_identification", "ogf_egf_transforms")
-    real = algorithms.build_table
+    cells = []
+    real = algorithms.times_linear_add
 
-    def broken(kind, seed, rows, lam=LAM):
-        table = real(kind, seed, rows, lam)
-        if rows < 3:
-            return table
-        cells = [list(row) for row in table.rows]
-        cells[3][0] = cells[3][0] + LAM
-        return algorithms.AlgorithmTable(tuple(map(tuple, cells)))
+    def counting(x, a, b, y, c, lam):
+        if lam is LAM:
+            cells.append((a, b, c))
+        return real(x, a, b, y, c, lam)
 
-    monkeypatch.setattr(algorithms, "_final_columns", {})
+    monkeypatch.setattr(algorithms, "_kept_runs", {})
+    monkeypatch.setattr(algorithms, "times_linear_add", counting)
+    assert all(r.passed for r in run_identity_suite(30, 30))
+    assert len(cells) == 1800
+
+
+def test_kept_run_with_a_wrong_cell_fails_every_reader(monkeypatch):
+    # cell (3, 0) of the symbolic kind-B runs off by L: each run is built
+    # once and kept, and every identity that reads it fails.  The table
+    # degeneration does not, as the fault vanishes at L = 0.
+    from degenums import algorithms
+
+    readers = [
+        "final_vs_closed_form",
+        "named_family_identification",
+        "ogf_egf_transforms",
+        "derivation_operator_rows",
+        "scalar_lane_matches_symbolic",
+    ]
+    real = algorithms.times_linear_add
+
+    def broken(x, a, b, y, c, lam):
+        cell = real(x, a, b, y, c, lam)
+        return cell + LAM if lam is LAM and (a, b, c) == (0, -2, -1) else cell
+
+    monkeypatch.setattr(algorithms, "_kept_runs", {})
     assert all(r.passed for r in run_identity_suite(8, 8))
-    monkeypatch.setattr(algorithms, "_final_columns", {})
-    monkeypatch.setattr(algorithms, "build_table", broken)
-    passed = {r.name: r.passed for r in run_identity_suite(8, 8)}
-    assert [name for name in readers if passed[name]] == []
+    monkeypatch.setattr(algorithms, "_kept_runs", {})
+    monkeypatch.setattr(algorithms, "times_linear_add", broken)
+    assert [r.name for r in run_identity_suite(8, 8) if not r.passed] == readers
 
 
 def _with_wrong_cell(triangle):
