@@ -14,9 +14,10 @@ the degenerate Bernoulli and Euler polynomial values at 1 (kind A); the
 closed forms and generating-function transforms here give independent
 routes to the same values.  The seeds and the table run take the value of L
 as ``lam``: LAM (the default) for polynomials in L, or a rational value.
+A custom seed holds its entries as polynomials in L, evaluated at ``lam``.
 ``build_table`` keeps the longest symbolic run of at most 32 rows of each
-(kind, seed) and answers a shorter request with its sub-trapezoid, so the
-identities that read the same run build it once.
+bundled (kind, seed) and answers a shorter request with its sub-trapezoid,
+so the identities that read the same run build it once.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .exact import (
     times_linear_add,
 )
 from .numbers import _KEPT_ROWS, stirling2_table
-from .series import TruncatedSeries, e_lambda_series, log_lambda_series
+from .series import TruncatedSeries, _as_poly, e_lambda_series, log_lambda_series
 
 __all__ = [
     "SEED_VARIANTS",
@@ -84,13 +85,11 @@ class SequenceSpec:
 
     @classmethod
     def custom(cls, values) -> "SequenceSpec":
-        return cls("custom", tuple(values))
+        return cls("custom", tuple(map(_as_poly, values)))
 
     def values(self, count: int, lam: Value = LAM) -> list[Value]:
-        """Seed entries 0..count-1, as polynomials in L or at L = lam; fails
-        with the required length for a custom seed that is too short.  A
-        custom seed's values are returned as given, so for a rational lam
-        they must already be evaluated there."""
+        """Seed entries 0..count-1, as polynomials in L or at L = lam; a
+        custom seed that is too short fails with the required length."""
         if count < 0:
             raise ValueError("seed length must be nonnegative")
         if self.variant == "bernoulli_seed":
@@ -110,7 +109,8 @@ class SequenceSpec:
                 f"custom seed provides {len(self.custom_values)} entries, "
                 f"need at least {count}"
             )
-        return list(self.custom_values[:count])
+        entries = self.custom_values[:count]
+        return list(entries) if lam is LAM else [v.eval_at(lam) for v in entries]
 
 
 @dataclass(frozen=True)
@@ -132,10 +132,10 @@ class AlgorithmTable:
 
 
 # The longest symbolic run of at most _KEPT_ROWS rows built so far for each
-# (kind, seed), so that the identities that read the same run build it once.
-# Column m of row n reads only seed entries 0..n+m, so a shorter run is the
-# sub-trapezoid of a longer one.  Rational runs and longer runs are not
-# kept, and at most six keys (the bundled pairs) are.
+# bundled (kind, seed), so that the identities that read the same run build
+# it once.  Column m of row n reads only seed entries 0..n+m, so a shorter
+# run is the sub-trapezoid of a longer one.  Custom, rational and longer runs
+# are not kept, so the store has at most six keys.
 _kept_runs: dict[tuple[str, SequenceSpec], AlgorithmTable] = {}
 
 
@@ -146,8 +146,9 @@ def build_table(kind: str, seed: SequenceSpec, rows: int, lam: Value = LAM) -> A
         raise ValueError(f"kind must be 'B' or 'A', got {kind!r}")
     if rows < 0:
         raise ValueError("rows must be nonnegative")
-    check_lam(lam, "build_table")  # before the seed, which a custom seed never checks
-    key = (kind, seed) if lam is LAM and rows <= _KEPT_ROWS else None
+    check_lam(lam, "build_table")  # before the store lookup
+    keep = lam is LAM and rows <= _KEPT_ROWS and seed.custom_values is None
+    key = (kind, seed) if keep else None
     kept = _kept_runs.get(key)
     if kept is not None and rows <= kept.row_count:
         return AlgorithmTable(tuple(kept.rows[n][: rows + 1 - n] for n in range(rows + 1)))
@@ -163,8 +164,6 @@ def build_table(kind: str, seed: SequenceSpec, rows: int, lam: Value = LAM) -> A
         )
     run = AlgorithmTable(tuple(table))
     if key is not None:
-        if key not in _kept_runs and len(_kept_runs) >= 6:
-            _kept_runs.clear()
         _kept_runs[key] = run
     return run
 

@@ -246,6 +246,33 @@ def test_scalar_lane_table_runs(lam):
             )
 
 
+def test_custom_seed_entries_are_polynomials_in_l():
+    # ints, Fractions and constant polynomials make the same seed, which the
+    # symbolic routes accept; a float is rejected when the seed is built
+    specs = [
+        SequenceSpec.custom([1, 2]),
+        SequenceSpec.custom([F(1), F(2)]),
+        SequenceSpec.custom([ONE, LambdaPoly.constant(2)]),
+    ]
+    assert specs[0] == specs[1] == specs[2]
+    for kind in ("B", "A"):
+        tables = [build_table(kind, s, 1) for s in specs]
+        assert tables[0].rows[1] == (LambdaPoly.constant({"B": -2, "A": -1}[kind]),)
+        assert tables[0] == tables[1] == tables[2]
+        finals = [closed_form_final_sequence(kind, s, 1) for s in specs]
+        assert finals[0] == finals[1] == finals[2] == final_sequence(tables[0])
+        sides = [transform_check(kind, s, 1) for s in specs]
+        assert sides[0] == sides[1] == sides[2]
+        assert sides[0][0] == sides[0][1]
+    with pytest.raises(TypeError, match="float"):
+        SequenceSpec.custom([0.5])
+
+
+def test_custom_seed_is_evaluated_at_lam():
+    table = build_table("B", SequenceSpec.custom([ONE, LAM, ONE]), 2, F(1, 2))
+    assert table.rows == ((F(1), F(1, 2), F(1)), (F(-1, 2), F(-3, 2)), (F(7, 4),))
+
+
 def test_lambda_zero_degeneration_small():
     from degenums.audit import classical_algorithm_table
 
@@ -306,9 +333,10 @@ def test_build_table_keeps_runs_of_at_most_32_rows_and_six_keys(monkeypatch):
         for s in ALL_SEEDS:
             build_table(kind, s, 3)
     assert len(store) == 6
+    bundled = dict(store)
     custom = SequenceSpec.custom([ONE, LAM, ZERO, ONE])
     assert build_table("B", custom, 3) == _built_afresh("B", custom, 3)
-    assert list(store) == [("B", custom)]
+    assert store == bundled
 
 
 @pytest.mark.parametrize("lam", [F(1, 2), F(0), 2])
@@ -358,4 +386,21 @@ def test_sub_trapezoid_of_a_longer_run_is_the_shorter_run(kind, values, data):
     long = _built_afresh(kind, seed, big)
     assert _built_afresh(kind, seed, small).rows == tuple(
         row[: small + 1 - n] for n, row in enumerate(long.rows[: small + 1])
+    )
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.sampled_from("BA"),
+    st.sampled_from([F(1, 2), F(-3, 7), F(0), F(2)]),
+    st.lists(_small_polys, min_size=1, max_size=11),
+    st.data(),
+)
+def test_custom_run_at_lam_is_the_symbolic_run_evaluated_there(kind, lam, values, data):
+    seed = SequenceSpec.custom(values)
+    rows = data.draw(st.integers(0, len(values) - 1), label="r")
+    lane = build_table(kind, seed, rows, lam)
+    assert all(type(v) is F for row in lane.rows for v in row)
+    assert lane.rows == tuple(
+        tuple(p.eval_at(lam) for p in row) for row in build_table(kind, seed, rows).rows
     )

@@ -557,6 +557,8 @@ def test_output_is_written_row_by_row(fmt):
         (["numbers", "bernoulli", "--nmax", "-1"], None, "nonnegative"),
         (["numbers", "stirling1", "--nmax", "201", "--lambda=1/2"], None, "0..200"),
         (["matrix", "B", "--rows", "0"], "1\n", "--custom-file is required"),
+        (["verify", "--nmax", "-1"], None, "--nmax must be nonnegative"),
+        (["verify", "--order", "-1"], None, "--order must be nonnegative"),
     ],
 )
 def test_input_errors_exit_2_before_any_output(argv, seed_text, message, fmt, tmp_path, capsys):
