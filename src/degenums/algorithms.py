@@ -70,6 +70,8 @@ class SequenceSpec:
             raise ValueError(f"unknown seed variant: {self.variant!r}")
         if (self.variant == "custom") != (self.custom_values is not None):
             raise ValueError("custom_values must be given exactly for the custom variant")
+        if self.custom_values is not None:
+            object.__setattr__(self, "custom_values", tuple(map(_as_poly, self.custom_values)))
 
     @classmethod
     def bernoulli(cls) -> "SequenceSpec":
@@ -85,17 +87,17 @@ class SequenceSpec:
 
     @classmethod
     def custom(cls, values) -> "SequenceSpec":
-        return cls("custom", tuple(map(_as_poly, values)))
+        return cls("custom", values)
 
     def values(self, count: int, lam: Value = LAM) -> list[Value]:
         """Seed entries 0..count-1, as polynomials in L or at L = lam; a
         custom seed that is too short fails with the required length."""
         if count < 0:
             raise ValueError("seed length must be nonnegative")
+        one = ring_one(lam)
         if self.variant == "bernoulli_seed":
             prods = linear_products(1 - lam, 1, count)[:count]
             return [p * Fraction(1, math.factorial(n + 1)) for n, p in enumerate(prods)]
-        one = ring_one(lam)
         if self.variant == "half_powers":
             return [one * Fraction(1, 2**n) for n in range(count)]
         if self.variant == "bell_seed":

@@ -341,27 +341,40 @@ Value = LambdaPoly | Scalar
 
 
 def check_lam(lam: Value, who: str) -> None:
-    """Raise TypeError naming ``who`` unless lam is a LambdaPoly, an int or a
-    Fraction: a float is inexact, and as 0.5 == Fraction(1, 2) with equal
-    hashes, rows kept for a float would be served to the exact lane."""
-    if not isinstance(lam, (LambdaPoly, int, Fraction)):
-        raise TypeError(f"{who} takes a LambdaPoly, an int or a Fraction, not {type(lam).__name__}")
+    """Raise TypeError naming ``who`` unless lam is LAM itself or an int or a
+    Fraction: the recurrences pick the ring by ``lam is LAM``, so no other
+    LambdaPoly (not even one equal to LAM) is a value of L; and as 0.5 ==
+    Fraction(1, 2) with equal hashes, rows kept for a float would be served
+    to the exact lane."""
+    if lam is not LAM and not isinstance(lam, (int, Fraction)):
+        name = "a LambdaPoly other than LAM" if isinstance(lam, LambdaPoly) else type(lam).__name__
+        raise TypeError(f"{who} takes LAM (polynomials in L), an int or a Fraction, not {name}")
 
 
 def ring_one(lam: Value) -> Value:
-    """The 1 of the ring that lam lives in: ONE for LAM, 1 at a rational."""
+    """The 1 of the ring that lam picks: ONE for LAM, Fraction(1) at a
+    rational, so that every value of the rational lane is a Fraction."""
     check_lam(lam, "ring_one")
-    return lam * 0 + 1
+    return ONE if lam is LAM else Fraction(1)
 
 
 def times_linear_add(x: Value, a: int, b: int, y: Value, c: Scalar, lam: Value) -> Value:
     """x * (a + b lam) + c y for integers a and b and a rational c, by
-    ``LambdaPoly.mul_linear_add`` when lam is LAM itself."""
+    ``LambdaPoly.mul_linear_add`` when lam is LAM itself.  At a rational
+    lam = p/q it is one Fraction over the integers, reduced once: with
+    g = gcd(xd, yd), xn (aq + bp) (yd/g) cd + cn q yn (xd/g) over q xd (yd/g) cd."""
     if lam is LAM:
         return x.mul_linear_add(a, b, y, c)
     if not isinstance(c, (int, Fraction)):
         raise TypeError(f"times_linear_add takes an int or a Fraction, not {type(c).__name__}")
-    return x * (a + b * lam) + (y if c == 1 else y * c)
+    check_lam(lam, "times_linear_add")
+    p, q, xd, yd, cd = lam.numerator, lam.denominator, x.denominator, y.denominator, c.denominator
+    g = math.gcd(xd, yd)
+    yd //= g
+    return Fraction(
+        x.numerator * (a * q + b * p) * yd * cd + c.numerator * q * y.numerator * (xd // g),
+        q * xd * yd * cd,
+    )
 
 
 def linear_products(a: Value, c: Value, n: int) -> list[Value]:
@@ -371,7 +384,7 @@ def linear_products(a: Value, c: Value, n: int) -> list[Value]:
     With a rational lam in place of L the products are rationals."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    out = [ring_one(a + c)]
+    out = [(a + c) * 0 + 1]  # the 1 of the ring of a and c
     for j in range(n):
         out.append(out[-1] * (a + c * j))
     return out

@@ -96,9 +96,6 @@ class TruncatedSeries:
         a, b = self._common(other)
         return TruncatedSeries(x - y for x, y in zip(a._coeffs, b._coeffs))
 
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(-c for c in self._coeffs)
-
     def __mul__(self, other: object) -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
@@ -299,7 +296,10 @@ class StirlingTable:
         Nested weights over polynomials in L are summed row by row by
         Horner's rule; at a rational L they are multiplied out once and
         summed like a plain vector, which is faster over Fractions.  A plain
-        vector over polynomials in L is one ``sum_of_products`` per row."""
+        vector over polynomials in L is one ``sum_of_products`` per row; over
+        the rationals each row is one integer over a running common
+        denominator, grown only by the part of a product's denominator it
+        lacks, and reduced once into a Fraction."""
         if len(weights) <= self.nmax:
             raise ValueError(f"need {self.nmax + 1} weights, got {len(weights)}")
         symbolic = isinstance(self.entries[0][0], LambdaPoly)
@@ -311,10 +311,18 @@ class StirlingTable:
             weights = weights.multiplied_out()
         if symbolic:
             return [LambdaPoly.sum_of_products(zip(row, weights)) for row in self.entries]
-        return [
-            sum((c * w for c, w in zip(row[1:], weights[1:])), row[0] * weights[0])
-            for row in self.entries
-        ]
+        out = []
+        for row in self.entries:
+            num, den = 0, 1
+            for c, w in zip(row, weights):
+                if c and w:
+                    d = c.denominator * w.denominator
+                    grow = d // math.gcd(den, d)
+                    if grow != 1:
+                        num, den = num * grow, den * grow
+                    num += c.numerator * w.numerator * (den // d)
+            out.append(Fraction(num, den))
+        return out
 
 
 @functools.lru_cache(maxsize=16)

@@ -268,6 +268,31 @@ def test_custom_seed_entries_are_polynomials_in_l():
         SequenceSpec.custom([0.5])
 
 
+def test_seed_constructor_holds_custom_entries_as_polynomials():
+    # the dataclass constructor converts the entries as the classmethod does
+    spec, two = SequenceSpec("custom", (1, 2)), LambdaPoly.constant(2)
+    assert spec == SequenceSpec.custom([1, 2]) and hash(spec) == hash(SequenceSpec.custom([1, 2]))
+    assert spec.custom_values == (ONE, two)
+    assert build_table("B", spec, 1).rows == ((ONE, two), (-two,))
+    assert build_table("A", spec, 1, F(1, 2)).rows == ((F(1), F(2)), (F(-1),))
+    with pytest.raises(TypeError, match="float"):
+        SequenceSpec("custom", (1, 0.5))
+
+
+@pytest.mark.parametrize("lam", [LambdaPoly((0, 1)), LAM + 1], ids=["copy_of_LAM", "LAM_plus_1"])
+@pytest.mark.parametrize(
+    "seed", [*ALL_SEEDS, SequenceSpec.custom([1, 2])], ids=["bernoulli", "half", "bell", "custom"]
+)
+def test_a_polynomial_other_than_lam_is_no_value_of_l(lam, seed):
+    # the bundled seeds once returned polynomials here and the custom one an
+    # eval_at TypeError; every seed now fails alike, naming both rings
+    for kind in ("B", "A"):
+        with pytest.raises(TypeError, match="build_table takes LAM .* other than LAM"):
+            build_table(kind, seed, 1, lam)
+    with pytest.raises(TypeError, match="takes LAM .* other than LAM"):
+        seed.values(2, lam)
+
+
 def test_custom_seed_is_evaluated_at_lam():
     table = build_table("B", SequenceSpec.custom([ONE, LAM, ONE]), 2, F(1, 2))
     assert table.rows == ((F(1), F(1, 2), F(1)), (F(-1, 2), F(-3, 2)), (F(7, 4),))

@@ -12,6 +12,7 @@ from degenums.exact import (
     ONE,
     ZERO,
     LambdaPoly,
+    check_lam,
     classical_falling,
     format_rat,
     linear_products,
@@ -374,15 +375,53 @@ def test_sum_of_products_edge_cases():
     assert r == p + q + F(1, 7)
 
 
-@settings(deadline=None)
-@given(_polys, _ints, _ints, _polys, _rationals, _rationals)
-# c = 1, as in every Stirling cell, takes the lane's branch that skips y * c
+@settings(deadline=None, max_examples=300)
+@given(
+    _polys | _ints, _ints, _ints, _polys | _ints, _rationals | _ints,
+    _rationals | st.sampled_from((0, 2, -1)),
+)
+# c = 1, as in every Stirling cell, and c = -(m+1), as in every kind-A/B cell
 @example(LambdaPoly((F(1, 2), 3)), 2, -5, LambdaPoly((F(2, 3), 0, 1)), 1, F(-3, 7))
+@example(LambdaPoly((F(1, 6), F(-2, 9))), 3, 1, LambdaPoly((F(5, 4),)), -4, F(1, 2))
+# an int x, y and L, where the lane still returns a Fraction
+@example(3, 1, -2, -5, 4, 2)
+@example(0, 7, 7, 0, 1, 0)
 def test_times_linear_add_commutes_with_evaluation(x, a, b, y, c, q):
-    lane = times_linear_add(x.eval_at(q), a, b, y.eval_at(q), c, q)
+    # an int x or y is the same value in both rings
+    xs, ys = (LambdaPoly.constant(v) if isinstance(v, int) else v for v in (x, y))
+    xq, yq = (v if isinstance(v, int) else v.eval_at(q) for v in (x, y))
+    lane = times_linear_add(xq, a, b, yq, c, q)
     assert type(lane) is F
-    assert lane == x.mul_linear_add(a, b, y, c).eval_at(q)
-    assert lane == x.eval_at(q) * (a + b * q) + y.eval_at(q) * c
+    assert lane == xs.mul_linear_add(a, b, ys, c).eval_at(q)
+    assert lane == F(xq) * (a + b * F(q)) + F(yq) * F(c)
+
+
+def test_rational_cell_uses_no_polynomial_kernel(monkeypatch):
+    # the scalar-lane identity checks the two lanes against each other, so
+    # the rational cell must not share a LambdaPoly kernel with the symbolic one
+    def boom(*args):
+        raise AssertionError("the rational lane reached LambdaPoly")
+
+    for name in ("mul_linear_add", "eval_at", "__mul__", "__add__", "__init__", "_raw"):
+        monkeypatch.setattr(LambdaPoly, name, boom)
+    assert times_linear_add(F(2, 3), 1, -2, F(5, 7), -3, F(-3, 7)) == F(-19, 21)
+    assert times_linear_add(2, 1, -2, 5, 1, 2) == -1
+
+
+def test_lam_is_lam_itself_or_a_rational():
+    for lam in (LAM, 0, -2, F(-3, 7)):
+        check_lam(lam, "who")
+    # equal to LAM but not LAM itself, and another polynomial: both rejected,
+    # by the check and by the rational branch of the fused step
+    for lam in (LambdaPoly((0, 1)), LAM + 1, ONE):
+        with pytest.raises(TypeError, match="who takes LAM .* not a LambdaPoly other than LAM"):
+            check_lam(lam, "who")
+        with pytest.raises(TypeError, match="^times_linear_add takes LAM"):
+            times_linear_add(F(1), 1, 1, F(1), 1, lam)
+        with pytest.raises(TypeError, match="^ring_one takes LAM"):
+            ring_one(lam)
+    with pytest.raises(TypeError, match="an int or a Fraction, not float"):
+        check_lam(0.5, "who")
 
 
 @settings(deadline=None)

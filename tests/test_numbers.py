@@ -165,6 +165,26 @@ def test_float_lambda_leaves_the_row_store_clean(monkeypatch):
     assert all(type(v) is Fraction for v in values)
 
 
+@pytest.mark.parametrize("lam", [LambdaPoly((0, 1)), LAM + 1], ids=["copy_of_LAM", "LAM_plus_1"])
+def test_every_family_rejects_a_polynomial_other_than_lam(monkeypatch, lam):
+    # the rings are told apart by `lam is LAM`: a copy equal to LAM once took
+    # the slower generic path in some functions and raised ValueError in others
+    monkeypatch.setattr(numbers, "_stirling2_rows", {})
+    stirling2_table(3)  # the symbolic rows are kept under a key equal to the copy
+    for call in (
+        stirling2_table,
+        stirling1_table,
+        bernoulli_deg_sequence,
+        euler_deg_sequence,
+        lambda n, q: bell_deg_sequence(n, lam=q),
+        lambda n, q: bernoulli_deg_poly_sequence(n, F(1, 2), q),
+        lambda n, q: euler_deg_poly_sequence(n, 1, q),
+    ):
+        with pytest.raises(TypeError, match="takes LAM .* not a LambdaPoly other than LAM"):
+            call(3, lam)
+    assert list(numbers._stirling2_rows) == [LAM]
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -217,6 +237,33 @@ def test_scalar_lane_of_every_family(lam):
         lane = run(lam)
         assert all(type(v) is F for v in lane)
         assert lane == [p.eval_at(lam) for p in run(LAM)]
+
+
+def _cli_values(nmax, lam):
+    # every value the numbers and matrix commands print at one value of L:
+    # both Stirling triangles, the five families and the six bundled runs
+    values = [v for table in (stirling1_table, stirling2_table)
+              for row in table(nmax, lam).entries for v in row]
+    values += bernoulli_deg_sequence(nmax, lam) + euler_deg_sequence(nmax, lam)
+    values += bell_deg_sequence(nmax, lam=lam)
+    values += bernoulli_deg_poly_sequence(nmax, 1, lam) + euler_deg_poly_sequence(nmax, 1, lam)
+    for kind in ("B", "A"):
+        for seed in (SequenceSpec.bernoulli(), SequenceSpec.half_powers(), SequenceSpec.bell()):
+            values += [v for row in build_table(kind, seed, nmax, lam).rows for v in row]
+    return values
+
+
+@pytest.fixture(scope="module")
+def symbolic_cli_values():
+    return _cli_values(40, LAM)
+
+
+@pytest.mark.parametrize("lam", [2, 0, -1, F(-4, 9)])
+def test_rational_lane_matches_symbolic_at_cli_sizes(symbolic_cli_values, lam):
+    # the pinned CLI digests cover only L = 1/2 and -3/7 at n = 20
+    lane = _cli_values(40, lam)
+    assert all(type(v) is F for v in lane)
+    assert lane == [p.eval_at(lam) for p in symbolic_cli_values]
 
 
 # -- the number families ---------------------------------------------------------

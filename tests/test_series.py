@@ -10,6 +10,7 @@ from degenums.exact import LAM, ONE, ZERO, LambdaPoly
 from degenums.numbers import _convolve_at, stirling1_table, stirling2_table
 from degenums.series import (
     NestedWeights,
+    StirlingTable,
     TruncatedSeries,
     apply_weighted_derivation,
     e_lambda_series,
@@ -163,6 +164,24 @@ def test_weighted_sums_of_unit_vector_is_column(make_table, nmax, data):
     k = data.draw(st.integers(min_value=0, max_value=nmax))
     unit = [ONE if i == k else ZERO for i in range(nmax + 1)]
     assert table.weighted_sums(unit) == [table.entry(n, k) for n in range(nmax + 1)]
+
+
+# rationals over denominators that share factors or not, zeros included
+lane_scalars = st.integers(-30, 30) | st.fractions(min_value=-30, max_value=30, max_denominator=60)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(0, 7), st.data())
+def test_rational_weighted_sums_are_the_fraction_sums(nmax, data):
+    # the lane's one-integer dot product against Fraction arithmetic, term by term
+    rows = tuple(
+        tuple(data.draw(st.lists(lane_scalars, min_size=n + 1, max_size=n + 1)))
+        for n in range(nmax + 1)
+    )
+    weights = data.draw(st.lists(lane_scalars, min_size=nmax + 1, max_size=nmax + 3))
+    sums = StirlingTable(rows).weighted_sums(weights)
+    assert all(type(v) is F for v in sums)
+    assert sums == [sum((F(c) * F(w) for c, w in zip(row, weights)), F(0)) for row in rows]
 
 
 def test_weighted_sums_needs_a_weight_per_column():
