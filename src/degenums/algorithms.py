@@ -180,6 +180,8 @@ def closed_form_final_sequence(kind: str, seed: SequenceSpec, nmax: int) -> list
     the table recurrence."""
     if kind not in ("B", "A"):
         raise ValueError(f"kind must be 'B' or 'A', got {kind!r}")
+    if nmax < 0:
+        raise ValueError("nmax must be nonnegative")
     seeds = seed.values(nmax + 1)
     signed = [seeds[k].scale(Fraction((-1) ** k * math.factorial(k))) for k in range(nmax + 1)]
     if kind == "B":

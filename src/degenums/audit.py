@@ -191,6 +191,8 @@ def classical_algorithm_table(
     """
     if kind not in ("B", "A"):
         raise ValueError(f"kind must be 'B' or 'A', got {kind!r}")
+    if rows < 0:
+        raise ValueError("rows must be nonnegative")
     if len(seed_values) < rows + 1:
         raise ValueError(f"need {rows + 1} seed values")
     table = [tuple(Fraction(v) for v in seed_values[: rows + 1])]
@@ -232,6 +234,8 @@ def stirling2_by_basis_expansion(nmax: int) -> StirlingTable:
     """Second-kind degenerate Stirling numbers the long way round: expand the
     degenerate falling factorial of x in the classical falling-factorial
     basis by repeated synthetic division in x."""
+    if nmax < 0:
+        raise ValueError("nmax must be nonnegative")
     rows = []
     p: list[LambdaPoly] = [ONE]
     for n in range(nmax + 1):
@@ -268,7 +272,7 @@ def _series_pairs(a: TruncatedSeries, b: TruncatedSeries) -> list[Pair]:
 
 
 def _all_seeds() -> list[SequenceSpec]:
-    return [SequenceSpec.bernoulli(), SequenceSpec.half_powers(), SequenceSpec.bell()]
+    return list(_MATRIX_SEEDS.values())
 
 
 def _id_stirling2_three_way(nmax: int, order: int) -> tuple[int, list[Pair]]:

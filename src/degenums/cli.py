@@ -276,9 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mat = sub.add_parser("matrix", help="trapezoidal algorithm table runs")
     p_mat.add_argument("kind", choices=("A", "B"))
-    p_mat.add_argument(
-        "--seed", choices=("bernoulli", "half", "bell", "custom"), default="bernoulli"
-    )
+    p_mat.add_argument("--seed", choices=(*_SEED_NAMES, "custom"), default="bernoulli")
     p_mat.add_argument("--rows", type=int, default=4, help="number of rows (default 4)")
     p_mat.add_argument(
         "--custom-file",

@@ -12,7 +12,8 @@ Euler numbers are computed from closed weighted sums over the second-kind
 Stirling triangle; the polynomial values at x come from the binomial
 convolution with degenerate falling factorials of x.  The Bernoulli weights
 and the falling factorials are products of linear factors in L, so those
-sums nest and run by Horner's rule.  Each family takes the value of L as
+sums go through ``StirlingTable.nested_sums``: by Horner's rule over
+polynomials in L, multiplied out at a rational L.  Each family takes L as
 ``lam``: LAM (the default) gives polynomials in L, a Fraction gives the same
 numbers at that value, from the same code.
 """
@@ -24,7 +25,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .exact import LAM, Scalar, Value, as_fraction, ring_one, times_linear_add
-from .series import NestedWeights, StirlingTable
+from .series import StirlingTable
 
 __all__ = [
     "StirlingTable",
@@ -105,10 +106,8 @@ def bernoulli_deg_sequence(nmax: int, lam: Value = LAM) -> list[Value]:
     """Degenerate Bernoulli numbers for n = 0..nmax: weight k is
     (-1)^k (1-L)(2-L)...(k-L) / (k+1), nested as heads (-1)^k/(k+1) and
     factors (k+1) - L."""
-    return stirling2_table(nmax, lam).weighted_sums(
-        NestedWeights(
-            tuple(Fraction((-1) ** k, k + 1) for k in range(nmax + 1)), (1, -1), (1, 0), lam
-        )
+    return stirling2_table(nmax, lam).nested_sums(
+        [Fraction((-1) ** k, k + 1) for k in range(nmax + 1)], (1, -1), (1, 0), lam
     )
 
 
@@ -135,11 +134,7 @@ def _convolve_at(base: list[Value], x: Fraction, lam: Value) -> list[Value]:
     pascal = StirlingTable(
         tuple(tuple(base[n - m] * math.comb(n, m) for m in range(n + 1)) for n in range(nmax + 1))
     )
-    return pascal.weighted_sums(
-        NestedWeights(
-            tuple(Fraction(1, q**m) for m in range(nmax + 1)), (p, 0), (0, -q), lam
-        )
-    )
+    return pascal.nested_sums([Fraction(1, q**m) for m in range(nmax + 1)], (p, 0), (0, -q), lam)
 
 
 def bernoulli_deg_poly_sequence(nmax: int, x: Scalar, lam: Value = LAM) -> list[Value]:

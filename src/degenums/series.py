@@ -7,9 +7,9 @@ truncates both to the smaller order, so every kept coefficient is exact.
 
 Also here: the degenerate exponential and logarithm series, the iterated
 weighted derivation that generates the rows of the kind-B tables, the
-weighted sums over a Stirling triangle (by Horner's rule when the weights
-come in nested form), and the extraction of degenerate Stirling numbers of
-both kinds from powers of e_L(t) - 1 and log_L(1+t).
+weighted sums over a Stirling triangle (plain or nested weights), and the
+extraction of degenerate Stirling numbers of both kinds from powers of
+e_L(t) - 1 and log_L(1+t).
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .exact import LAM, ONE, ZERO, LambdaPoly, Scalar, Value, as_fraction, linea
 __all__ = [
     "TruncatedSeries",
     "StirlingTable",
-    "NestedWeights",
     "e_lambda_series",
     "e_lambda_x_series",
     "log_lambda_series",
@@ -224,44 +223,6 @@ def apply_weighted_derivation(f: TruncatedSeries, n: int) -> tuple[TruncatedSeri
     return tuple(rows)
 
 
-class NestedWeights:
-    """Weights in nested form: w_k = heads[k] * prod_{j<k} f_j, with rational
-    heads and the linear factors f_j = (a + j da) + (b + j db) L given by the
-    integer pairs start = (a, b) and step = (da, db), and L taken at lam (LAM
-    for polynomials in L, a Fraction for the rationals at that value)."""
-
-    __slots__ = ("heads", "start", "step", "lam")
-
-    def __init__(
-        self,
-        heads: Sequence[Scalar],
-        start: tuple[int, int],
-        step: tuple[int, int],
-        lam: Value = LAM,
-    ) -> None:
-        self.heads, self.start, self.step, self.lam = tuple(heads), start, step, lam
-
-    def __len__(self) -> int:
-        return len(self.heads)
-
-    def multiplied_out(self) -> list[Value]:
-        """The plain weight vector [w_0, w_1, ...] from the running products."""
-        (a, b), (da, db), lam = self.start, self.step, self.lam
-        prods = linear_products(a + b * lam, da + db * lam, len(self.heads) - 1)
-        return [p * h for p, h in zip(prods, self.heads)]
-
-    def horner(self, terms: Sequence[LambdaPoly]) -> LambdaPoly:
-        """sum_k terms[k] * w_k over polynomials in L by Horner's rule,
-        t_0 h_0 + f_0 (t_1 h_1 + f_1 (t_2 h_2 + ...)): each step is one
-        fused ``mul_linear_add``, so no step multiplies two polynomials."""
-        (a, b), (da, db) = self.start, self.step
-        top = len(terms) - 1
-        acc = terms[top].scale(self.heads[top])
-        for k in range(top - 1, -1, -1):
-            acc = acc.mul_linear_add(a + k * da, b + k * db, terms[k], self.heads[k])
-        return acc
-
-
 @dataclass(frozen=True)
 class StirlingTable:
     """Triangular table of degenerate Stirling numbers (either kind),
@@ -288,28 +249,17 @@ class StirlingTable:
             return self.entries[0][0] * 0
         return self.entries[n][k]
 
-    def weighted_sums(self, weights: Sequence[Value] | NestedWeights) -> list[Value]:
+    def weighted_sums(self, weights: Sequence[Value]) -> list[Value]:
         """[sum_k entry(n, k) * weights[k] for n = 0..nmax]: every weighted
-        Stirling sum in the package goes through this one kernel.  A sum
-        stays in the ring of the entries (weights may be plain rationals).
-
-        Nested weights over polynomials in L are summed row by row by
-        Horner's rule; at a rational L they are multiplied out once and
-        summed like a plain vector, which is faster over Fractions.  A plain
-        vector over polynomials in L is one ``sum_of_products`` per row; over
-        the rationals each row is one integer over a running common
-        denominator, grown only by the part of a product's denominator it
-        lacks, and reduced once into a Fraction."""
+        Stirling sum over a plain weight vector goes through this one kernel.
+        A sum stays in the ring of the entries (weights may be plain
+        rationals).  Over polynomials in L each row is one
+        ``sum_of_products``; over the rationals each row is one integer over
+        a running common denominator, grown only by the part of a product's
+        denominator it lacks, and reduced once into a Fraction."""
         if len(weights) <= self.nmax:
             raise ValueError(f"need {self.nmax + 1} weights, got {len(weights)}")
-        symbolic = isinstance(self.entries[0][0], LambdaPoly)
-        if isinstance(weights, NestedWeights):
-            if (weights.lam is LAM) != symbolic:
-                raise ValueError("nested weights must take L in the ring of the entries")
-            if symbolic:
-                return [weights.horner(row) for row in self.entries]
-            weights = weights.multiplied_out()
-        if symbolic:
+        if isinstance(self.entries[0][0], LambdaPoly):
             return [LambdaPoly.sum_of_products(zip(row, weights)) for row in self.entries]
         out = []
         for row in self.entries:
@@ -322,6 +272,37 @@ class StirlingTable:
                         num, den = num * grow, den * grow
                     num += c.numerator * w.numerator * (den // d)
             out.append(Fraction(num, den))
+        return out
+
+    def nested_sums(
+        self,
+        heads: Sequence[Scalar],
+        start: tuple[int, int],
+        step: tuple[int, int],
+        lam: Value = LAM,
+    ) -> list[Value]:
+        """The weighted sums for nested weights w_k = heads[k] prod_{j<k} f_j:
+        rational heads, linear factors f_j = (a + j da) + (b + j db) L from
+        the integer pairs start = (a, b) and step = (da, db), and L at lam in
+        the ring of the entries.  Over polynomials in L each row runs by
+        Horner's rule, t_0 h_0 + f_0 (t_1 h_1 + f_1 (...)), one fused
+        ``mul_linear_add`` per step, so no step multiplies two polynomials; at
+        a rational L the weights are multiplied out once for ``weighted_sums``,
+        which is faster over Fractions."""
+        if len(heads) <= self.nmax:
+            raise ValueError(f"need {self.nmax + 1} weights, got {len(heads)}")
+        if (lam is LAM) != isinstance(self.entries[0][0], LambdaPoly):
+            raise ValueError("nested weights must take L in the ring of the entries")
+        (a, b), (da, db) = start, step
+        if lam is not LAM:
+            prods = linear_products(a + b * lam, da + db * lam, len(heads) - 1)
+            return self.weighted_sums([p * h for p, h in zip(prods, heads)])
+        out = []
+        for row in self.entries:
+            acc = row[-1].scale(heads[len(row) - 1])
+            for k in range(len(row) - 2, -1, -1):
+                acc = acc.mul_linear_add(a + k * da, b + k * db, row[k], heads[k])
+            out.append(acc)
         return out
 
 

@@ -151,6 +151,14 @@ def test_closed_form_examples():
             assert closed_form_final_sequence(kind, seed, 0)[0] == seed.values(1)[0]
 
 
+def test_closed_form_rejects_a_negative_nmax():
+    # both kinds check the size up front, as build_table does
+    for kind in ("B", "A"):
+        for seed in ALL_SEEDS:
+            with pytest.raises(ValueError, match="nmax must be nonnegative"):
+                closed_form_final_sequence(kind, seed, -1)
+
+
 def test_closed_form_matches_recurrence():
     nmax = 12
     for kind in ("B", "A"):

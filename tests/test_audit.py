@@ -134,6 +134,16 @@ def test_classical_table_validation():
         classical_algorithm_table("X", [F(1)], 0)
     with pytest.raises(ValueError):
         classical_algorithm_table("B", [F(1)], 3)
+    # a negative size raises, as in build_table
+    for kind in ("B", "A"):
+        with pytest.raises(ValueError, match="rows must be nonnegative"):
+            classical_algorithm_table(kind, [F(1)], -1)
+
+
+def test_basis_expansion_rejects_a_negative_nmax():
+    # as in stirling2_table
+    with pytest.raises(ValueError, match="nmax must be nonnegative"):
+        stirling2_by_basis_expansion(-1)
 
 
 # -- identity suite -------------------------------------------------------------

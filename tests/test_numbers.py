@@ -185,6 +185,28 @@ def test_every_family_rejects_a_polynomial_other_than_lam(monkeypatch, lam):
     assert list(numbers._stirling2_rows) == [LAM]
 
 
+def test_nested_sums_take_the_path_of_their_ring(monkeypatch):
+    # over polynomials in L the nested families run by Horner's rule, so no
+    # row is a sum_of_products; at a rational L they touch no LambdaPoly
+    def boom(*args):
+        raise AssertionError("reached a LambdaPoly method")
+
+    lam = F(-3, 7)
+    families = (bernoulli_deg_sequence, lambda n, q: bernoulli_deg_poly_sequence(n, 1, q))
+    monkeypatch.setattr(numbers, "_stirling2_rows", {})
+    with monkeypatch.context() as patched:
+        patched.setattr(LambdaPoly, "sum_of_products", classmethod(boom))
+        symbolic = [family(8, LAM) for family in families]
+    assert symbolic[0] == closed_form_final_sequence("B", SequenceSpec.bernoulli(), 8)
+    expected = [[v.eval_at(lam) for v in values] for values in symbolic]
+    for name, attr in list(vars(LambdaPoly).items()):
+        if isinstance(attr, property):
+            monkeypatch.setattr(LambdaPoly, name, property(boom))
+        elif callable(attr) or isinstance(attr, classmethod):
+            monkeypatch.setattr(LambdaPoly, name, boom)
+    assert [family(8, lam) for family in families] == expected
+
+
 @pytest.mark.parametrize(
     "call",
     [

@@ -9,7 +9,6 @@ from degenums.algorithms import SequenceSpec, build_table
 from degenums.exact import LAM, ONE, ZERO, LambdaPoly
 from degenums.numbers import _convolve_at, stirling1_table, stirling2_table
 from degenums.series import (
-    NestedWeights,
     StirlingTable,
     TruncatedSeries,
     apply_weighted_derivation,
@@ -189,7 +188,7 @@ def test_weighted_sums_needs_a_weight_per_column():
         stirling2_table(3).weighted_sums([ONE, ONE, ONE])
 
 
-# -- nested weights: Horner over polynomials, multiplied out at a rational L ----
+# -- nested sums: Horner over polynomials, multiplied out at a rational L -------
 
 _LANE_POINTS = (F(1, 2), F(-3, 7), F(0))
 small_ints = st.integers(min_value=-4, max_value=4)
@@ -214,15 +213,13 @@ def test_nested_weighted_sums_equal_the_multiplied_out_vector(make_table, nmax, 
     start = data.draw(st.tuples(small_ints, small_ints))
     step = data.draw(st.tuples(small_ints, small_ints))
     direct = _direct_weights(heads, start, step)
-    nested = NestedWeights(heads, start, step)
-    assert nested.multiplied_out() == direct
-    symbolic = make_table(nmax).weighted_sums(nested)
+    symbolic = make_table(nmax).nested_sums(heads, start, step)
     assert symbolic == make_table(nmax).weighted_sums(direct)
     for lam in _LANE_POINTS:
-        at = NestedWeights(heads, start, step, lam)
-        assert at.multiplied_out() == [w.eval_at(lam) for w in direct]
-        lane = make_table(nmax, lam).weighted_sums(at)
+        table = make_table(nmax, lam)
+        lane = table.nested_sums(heads, start, step, lam)
         assert all(type(v) is F for v in lane)
+        assert lane == table.weighted_sums([w.eval_at(lam) for w in direct])
         assert lane == [v.eval_at(lam) for v in symbolic]
 
 
@@ -246,15 +243,17 @@ def test_nested_convolution_is_the_binomial_sum(nmax, x, data):
 
 def test_nested_weights_need_a_head_per_column():
     with pytest.raises(ValueError, match="need 4 weights"):
-        stirling2_table(3).weighted_sums(NestedWeights((1, 1, 1), (1, -1), (1, 0)))
+        stirling2_table(3).nested_sums((1, 1, 1), (1, -1), (1, 0))
+    with pytest.raises(ValueError, match="need 4 weights"):
+        stirling2_table(3, F(1, 2)).nested_sums((1, 1, 1), (1, -1), (1, 0), F(1, 2))
 
 
 def test_nested_weights_must_match_the_ring_of_the_entries():
     heads, half = (1, 1, 1, 1), F(1, 2)
     with pytest.raises(ValueError, match="ring of the entries"):
-        stirling2_table(3).weighted_sums(NestedWeights(heads, (1, -1), (1, 0), half))
+        stirling2_table(3).nested_sums(heads, (1, -1), (1, 0), half)
     with pytest.raises(ValueError, match="ring of the entries"):
-        stirling2_table(3, half).weighted_sums(NestedWeights(heads, (1, -1), (1, 0)))
+        stirling2_table(3, half).nested_sums(heads, (1, -1), (1, 0))
 
 
 def test_stirling1_recurrence_matches_series_triangle():
