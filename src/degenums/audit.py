@@ -27,7 +27,7 @@ from .algorithms import (
     inverse_transform_check,
     transform_check,
 )
-from .exact import LAM, ONE, ZERO, LambdaPoly, classical_falling
+from .exact import LAM, ONE, ZERO, LambdaPoly, Value, classical_falling
 from .numbers import (
     bell_deg_sequence,
     bernoulli_deg_poly_sequence,
@@ -210,61 +210,31 @@ def classical_algorithm_table(
     return table
 
 
-def _xpoly_eval_int(p: list[LambdaPoly], r: int) -> LambdaPoly:
-    acc = ZERO
-    for a in reversed(p):
-        acc = acc.scale(r) + a
-    return acc
-
-
-def _xpoly_div_linear(p: list[LambdaPoly], r: int) -> list[LambdaPoly]:
-    # exact synthetic division by (x - r); remainder must vanish
-    n = len(p) - 1
-    q = [ZERO] * n
-    carry = ZERO
-    for i in range(n, 0, -1):
-        q[i - 1] = p[i] + carry
-        carry = q[i - 1].scale(r)
-    if not (p[0] + carry).is_zero:
-        raise ValueError(f"polynomial is not divisible by (x - {r})")
-    return q
-
-
 def stirling2_by_basis_expansion(nmax: int) -> StirlingTable:
     """Second-kind degenerate Stirling numbers the long way round: expand the
-    degenerate falling factorial of x in the classical falling-factorial
-    basis by repeated synthetic division in x."""
+    degenerate falling factorial (x)_{n,L} in the classical falling-factorial
+    basis by Newton's forward differences.  S2_L(n, k) is the k-th difference
+    of (0)_{n,L}, ..., (n)_{n,L} at 0, divided by k!."""
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
     rows = []
-    p: list[LambdaPoly] = [ONE]
+    values = [ONE] * (nmax + 1)  # (j)_{n,L} for j = 0..nmax
     for n in range(nmax + 1):
         if n:
-            # carry (x)_{n-1,L} into (x)_{n,L}: multiply by (x - (n-1)L)
-            shifted, step = [ZERO] + p, LAM.scale(1 - n)
-            p = [
-                shifted[i] + (p[i] * step if i < len(p) else ZERO)
-                for i in range(len(shifted))
-            ]
-        row = []
-        q = list(p)
+            # (j)_{n,L} = (j)_{n-1,L} (j - (n-1)L)
+            step = LAM.scale(n - 1)
+            values = [v * (ONE.scale(j) - step) for j, v in enumerate(values)]
+        row, diffs = [], values[: n + 1]
         for k in range(n + 1):
-            c = _xpoly_eval_int(q, k)
-            row.append(c)
-            if k < n:
-                q[0] = q[0] - c
-                q = _xpoly_div_linear(q, k)
+            row.append(diffs[0].scale(Fraction(1, math.factorial(k))))
+            diffs = [b - a for a, b in zip(diffs, diffs[1:])]
         rows.append(tuple(row))
     return StirlingTable(tuple(rows))
 
 
 # -- identity suite -----------------------------------------------------------
 
-Pair = tuple[LambdaPoly, LambdaPoly]
-
-
-def _const_pair(a: Fraction | int, b: Fraction | int) -> Pair:
-    return LambdaPoly.constant(a), LambdaPoly.constant(b)
+Pair = tuple[Value, Value]
 
 
 def _series_pairs(a: TruncatedSeries, b: TruncatedSeries) -> list[Pair]:
@@ -298,9 +268,9 @@ def _id_classical_limits(nmax: int, order: int) -> tuple[int, list[Pair]]:
     cl = classical_bell(cap)
     pairs: list[Pair] = []
     for n in range(cap + 1):
-        pairs.append(_const_pair(bern[n].eval_at(0), cb[n]))
-        pairs.append(_const_pair(euler[n].eval_at(0), ce[n]))
-        pairs.append(_const_pair(bell[n].eval_at(0), cl[n]))
+        pairs.append((bern[n].eval_at(0), cb[n]))
+        pairs.append((euler[n].eval_at(0), ce[n]))
+        pairs.append((bell[n].eval_at(0), cl[n]))
     return cap, pairs
 
 
@@ -448,9 +418,7 @@ def _id_classical_degeneration(nmax: int, order: int) -> tuple[int, list[Pair]]:
             classical = classical_algorithm_table(kind, seed0, cap)
             for n in range(cap + 1):
                 for m in range(cap - n + 1):
-                    pairs.append(
-                        _const_pair(table.entry(n, m).eval_at(0), classical[n][m])
-                    )
+                    pairs.append((table.entry(n, m).eval_at(0), classical[n][m]))
     return cap, pairs
 
 
@@ -496,7 +464,7 @@ def _id_scalar_lane(nmax: int, order: int) -> tuple[int, list[Pair]]:
     pairs: list[Pair] = []
     for lam in (Fraction(1, 2), Fraction(-3, 7), Fraction(2)):
         lane = _lane_values(lam, cap)
-        pairs.extend(_const_pair(p.eval_at(lam), v) for p, v in zip(symbolic, lane))
+        pairs.extend((p.eval_at(lam), v) for p, v in zip(symbolic, lane))
     return cap, pairs
 
 
@@ -538,7 +506,7 @@ def run_identity_suite(
         cap, pairs = func(nmax, order)
         if name == inject_fault and pairs:
             lhs, rhs = pairs[0]
-            pairs[0] = (lhs + ONE, rhs)
+            pairs[0] = (lhs + 1, rhs)
         passed = all(lhs == rhs for lhs, rhs in pairs)
         results.append(IdentityResult(name, cap, passed))
     return tuple(results)

@@ -336,7 +336,12 @@ LAM = LambdaPoly((0, 1))
 # value of L passed as ``lam`` is LAM) and the rationals (``lam`` is the
 # Fraction at which L is evaluated).  ``Value`` is an element of either.
 # Both share +, - and *, and multiplying by an int or a Fraction is scaling
-# in either; the two helpers below are all the rest that tells them apart.
+# in either.  ``check_lam`` and ``ring_one`` below name the ring that ``lam``
+# picks, and five more places branch on it: by ``lam is LAM``,
+# ``times_linear_add`` (its two kernels), ``StirlingTable.nested_sums``
+# (Horner's rule or the weights multiplied out), ``SequenceSpec.values``
+# (custom entries evaluated at a rational) and ``build_table`` (only runs
+# over L are kept); by the type of its entries, ``StirlingTable.weighted_sums``.
 Value = LambdaPoly | Scalar
 
 

@@ -234,6 +234,8 @@ class StirlingTable:
     entries: tuple[tuple[Value, ...], ...]
 
     def __post_init__(self) -> None:
+        if not self.entries:
+            raise ValueError("a Stirling table needs row 0")
         for n, row in enumerate(self.entries):
             if len(row) != n + 1:
                 raise ValueError(f"row {n} must have {n + 1} entries")
@@ -328,6 +330,8 @@ def egf_power_triangle(g: TruncatedSeries, nmax: int) -> tuple[tuple[LambdaPoly,
     g must have a zero constant term so that g^k contributes nothing below
     t^k and the triangle is exact.
     """
+    if nmax < 0:
+        raise ValueError("nmax must be nonnegative")
     if not g.coeff(0).is_zero:
         raise ValueError("triangle extraction requires a zero constant term")
     if g.order < nmax:

@@ -100,12 +100,39 @@ def test_audit_never_fails_on_mismatch():
 
 
 def test_basis_expansion_matches_recurrence():
-    for nmax in (10, 30):
+    for nmax in (10, 40):
         bas = stirling2_by_basis_expansion(nmax)
         rec = stirling2_table(nmax)
         for n in range(nmax + 1):
             for k in range(n + 1):
                 assert bas.entry(n, k) == rec.entry(n, k)
+
+
+def test_basis_expansion_runs_none_of_the_routes_it_checks(monkeypatch):
+    # stirling2_three_way checks the row recurrence and the series triangle
+    # against this oracle, so it must reach neither of them nor their kernels
+    from degenums import algorithms, audit, exact, numbers, series
+
+    expected = stirling2_table(12)
+
+    def boom(*args):
+        raise AssertionError("the basis expansion reached a route it checks")
+
+    for name in ("mul_linear_add", "sum_of_products"):
+        monkeypatch.setattr(LambdaPoly, name, boom)
+    for module, name in (
+        (exact, "times_linear_add"),
+        (numbers, "times_linear_add"),
+        (exact, "linear_products"),
+        (series, "linear_products"),
+        (algorithms, "linear_products"),
+        (series, "powers"),
+        (audit, "powers"),
+        (numbers, "stirling2_table"),
+        (audit, "stirling2_table"),
+    ):
+        monkeypatch.setattr(module, name, boom)
+    assert stirling2_by_basis_expansion(12) == expected
 
 
 def test_classical_table_recovers_bernoulli():

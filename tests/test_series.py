@@ -14,6 +14,7 @@ from degenums.series import (
     apply_weighted_derivation,
     e_lambda_series,
     e_lambda_x_series,
+    egf_power_triangle,
     log_lambda_series,
     powers,
     stirling1_from_series,
@@ -186,6 +187,12 @@ def test_rational_weighted_sums_are_the_fraction_sums(nmax, data):
 def test_weighted_sums_needs_a_weight_per_column():
     with pytest.raises(ValueError, match="need 4 weights"):
         stirling2_table(3).weighted_sums([ONE, ONE, ONE])
+
+
+def test_stirling_table_needs_row_0():
+    # the kernels read the ring of the entries off entry (0, 0)
+    with pytest.raises(ValueError, match="a Stirling table needs row 0"):
+        StirlingTable(())
 
 
 # -- nested sums: Horner over polynomials, multiplied out at a rational L -------
@@ -390,6 +397,13 @@ def test_stirling2_from_series_values():
         assert table.entry(n, n) == ONE
     assert table.entry(2, 1) == ONE - LAM
     assert table.entry(3, 1) == LambdaPoly((1, -3, 2))
+
+
+def test_egf_power_triangle_rejects_a_negative_nmax():
+    # as its callers do, before the series is truncated
+    em1 = e_lambda_series(2) - TruncatedSeries.constant(ONE, 2)
+    with pytest.raises(ValueError, match="nmax must be nonnegative"):
+        egf_power_triangle(em1, -1)
 
 
 def test_stirling2_series_matches_recurrence_symbolically():

@@ -25,7 +25,9 @@ The file holds, per workload and end-to-end metric, the values of every
 pair, their median and quartiles on each side, the change/parent ratio of
 the medians and the number of pairs the change won.  ``--compare`` prints
 those ratios, or with a second file the ratios of the first file's change
-medians to the second's.  Nothing here is a gate: it only measures.
+medians to the second's; beside each it prints the median and quartiles of
+the first file's per-pair change/parent ratios.  Nothing here is a gate: it
+only measures.
 """
 
 from __future__ import annotations
@@ -145,6 +147,14 @@ def measure(args: argparse.Namespace) -> dict:
         shutil.rmtree(workdir, ignore_errors=True)
 
 
+def pair_ratios(stats: dict) -> str:
+    """The median and quartiles of the change/parent ratios of each pair.  A
+    host phase change moves both runs of a pair alike, so these stay steady
+    where the two sides' own quartiles do not."""
+    ratios = summary([c / p for p, c in zip(stats["parent"]["values"], stats["change"]["values"])])
+    return f"pair ratios {ratios['median']:.3f} q1..q3 {ratios['q1']:.3f}..{ratios['q3']:.3f}"
+
+
 def compare(new_path: Path, old_path: Path | None) -> None:
     new = json.loads(new_path.read_text(encoding="utf-8"))
     old = json.loads(old_path.read_text(encoding="utf-8")) if old_path else None
@@ -154,7 +164,7 @@ def compare(new_path: Path, old_path: Path | None) -> None:
                 p, c = stats["parent"], stats["change"]
                 print(f"{workload:16s} {metric:12s} {p['median']:10.4g} -> {c['median']:10.4g} "
                       f"ratio {stats['ratio']:.3f}  wins {stats['change_wins']}/{stats['pairs']}  "
-                      f"parent q1..q3 {p['q1']:.4g}..{p['q3']:.4g}")
+                      f"parent q1..q3 {p['q1']:.4g}..{p['q3']:.4g}  {pair_ratios(stats)}")
                 continue
             before = old["workloads"].get(workload, {}).get("end_to_end", {}).get(metric)
             if before is None:
@@ -162,7 +172,8 @@ def compare(new_path: Path, old_path: Path | None) -> None:
                 continue
             ratio = stats["change"]["median"] / before["change"]["median"]
             print(f"{workload:16s} {metric:12s} {before['change']['median']:10.4g} -> "
-                  f"{stats['change']['median']:10.4g} ratio {ratio:.3f}")
+                  f"{stats['change']['median']:10.4g} ratio {ratio:.3f}  "
+                  f"({new_path.name} {pair_ratios(stats)})")
 
 
 def main() -> int:
