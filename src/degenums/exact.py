@@ -172,21 +172,19 @@ class LambdaPoly:
             return LambdaPoly.constant(other)
         return None
 
-    def __add__(self, other: object) -> "LambdaPoly":
-        q = self._coerce(other)
-        if q is None:
-            return NotImplemented
+    def _plus(self, q: "LambdaPoly", sign: int) -> "LambdaPoly":
+        """self + sign q for sign = 1 or -1, in one pass over both integer
+        vectors on their common denominator, the sign folded into q's
+        cofactor."""
         da, db = self._den, q._den
         g = math.gcd(da, db)
-        ma, mb = db // g, da // g
-        den = da * ma
-        a, b = self._num, q._num
-        n = max(len(a), len(b))
-        nums = [
-            (a[i] * ma if i < len(a) else 0) + (b[i] * mb if i < len(b) else 0)
-            for i in range(n)
-        ]
-        return LambdaPoly._raw(nums, den)
+        ma, mb = db // g, da // g * sign
+        nums = [u * ma + v * mb for u, v in zip_longest(self._num, q._num, fillvalue=0)]
+        return LambdaPoly._raw(nums, da * ma)
+
+    def __add__(self, other: object) -> "LambdaPoly":
+        q = self._coerce(other)
+        return NotImplemented if q is None else self._plus(q, 1)
 
     __radd__ = __add__
 
@@ -195,15 +193,11 @@ class LambdaPoly:
 
     def __sub__(self, other: object) -> "LambdaPoly":
         q = self._coerce(other)
-        if q is None:
-            return NotImplemented
-        return self + (-q)
+        return NotImplemented if q is None else self._plus(q, -1)
 
     def __rsub__(self, other: object) -> "LambdaPoly":
         q = self._coerce(other)
-        if q is None:
-            return NotImplemented
-        return q + (-self)
+        return NotImplemented if q is None else q._plus(self, -1)
 
     def __mul__(self, other: object) -> "LambdaPoly":
         if isinstance(other, (int, Fraction)):

@@ -71,6 +71,8 @@ class TruncatedSeries:
         return self._coeffs[k]
 
     def truncate(self, order: int) -> "TruncatedSeries":
+        if order < 0:
+            raise ValueError(f"order must be nonnegative, not {order}")
         if order > self.order:
             raise ValueError(f"cannot extend order {self.order} to {order}")
         if order == self.order:

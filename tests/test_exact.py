@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from decimal import Decimal
@@ -333,6 +334,38 @@ def test_mul_linear_add_edge_cases():
     assert h == LambdaPoly((1, 2)) and (h._num, h._den) == ((1, 2), 1)
     r = LambdaPoly((F(3, 4), F(3, 2))).mul_linear_add(2, -6, ZERO, 1)
     assert r == LambdaPoly((F(3, 2), F(-3, 2), -9)) and (r._num, r._den) == ((3, -3, -18), 2)
+
+
+def _coefficientwise(xs, ys, sign):
+    # the reference for x + sign y: Fractions added index by index, then the
+    # trailing zeros stripped
+    out = [F(x) + sign * F(y) for x, y in itertools.zip_longest(xs, ys, fillvalue=0)]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_over_den, _over_den, _rationals | _ints)
+@example(LambdaPoly((F(1, 2), 3)), LambdaPoly((F(2, 3), 0, F(-5, 7))), F(-3, 4))
+@example(LambdaPoly((F(1, 6), F(1, 2))), LambdaPoly((F(1, 3), F(1, 2))), F(1, 6))
+def test_add_and_sub_are_the_coefficientwise_sums(p, q, c):
+    cases = [
+        (p + q, p.coeffs, q.coeffs, 1),
+        (p - q, p.coeffs, q.coeffs, -1),
+        (q - p, q.coeffs, p.coeffs, -1),
+        (c + p, (c,), p.coeffs, 1),
+        (p + c, p.coeffs, (c,), 1),
+        (c - p, (c,), p.coeffs, -1),
+        (p - c, p.coeffs, (c,), -1),
+    ]
+    for got, xs, ys, sign in cases:
+        expected = _coefficientwise(xs, ys, sign)
+        assert got.coeffs == expected
+        # == compares the stored integer vectors: the canonical form too
+        assert got == LambdaPoly(expected)
+    for z in (p - p, q - q, p + (-p), (p + c) - (c + p)):
+        assert z == ZERO and z._num == () and z._den == 1
 
 
 def _fold(pairs):

@@ -71,6 +71,12 @@ def test_coeff_out_of_range():
         TruncatedSeries([1, 2]).coeff(2)
     with pytest.raises(ValueError):
         TruncatedSeries([1]).truncate(3)
+    # the slice [: order + 1] would wrap: truncate(-3) of order 5 kept order 3
+    f = e_lambda_series(5)
+    for order in (-1, -3, -6):
+        with pytest.raises(ValueError, match="order must be nonnegative"):
+            f.truncate(order)
+    assert f.truncate(0).coeffs == (ONE,)
 
 
 def test_compose_simple():
