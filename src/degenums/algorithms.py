@@ -12,8 +12,9 @@ trapezoid: row n keeps columns 0..rows-n.  With the bundled seeds the final
 sequences are the degenerate Bernoulli, Euler and Bell numbers (kind B) and
 the degenerate Bernoulli and Euler polynomial values at 1 (kind A); the
 closed forms and generating-function transforms here give independent
-routes to the same values.  The seeds and the table run take the value of L
-as ``lam``: LAM (the default) for polynomials in L, or a rational value.
+routes to the same values, reading kind A as kind B of the differenced
+seed a_m - a_{m-1}.  The seeds and the table run take the value of L as
+``lam``: LAM (the default) for polynomials in L, or a rational value.
 A custom seed holds its entries as polynomials in L, evaluated at ``lam``.
 ``build_table`` keeps the longest symbolic run of at most 32 rows of each
 bundled (kind, seed) and answers a shorter request with its sub-trapezoid,
@@ -29,7 +30,6 @@ from fractions import Fraction
 from .exact import (
     LAM,
     ONE,
-    ZERO,
     LambdaPoly,
     Value,
     check_lam,
@@ -175,20 +175,26 @@ def final_sequence(table: AlgorithmTable) -> list[Value]:
     return [row[0] for row in table.rows]
 
 
+def _kind_b_seed(kind: str, seed: SequenceSpec, count: int) -> list[Value]:
+    """Entries 0..count-1 of the seed whose kind-B run has the same final
+    sequence: the seed itself for kind B, a_0, a_1 - a_0, ... for kind A,
+    whose OGF (1 - t) A(t) has the factor e_L(t) at t = 1 - e_L(t)."""
+    a = seed.values(count)
+    if kind == "B":
+        return a
+    return a[:1] + [a[m] - a[m - 1] for m in range(1, count)]
+
+
 def closed_form_final_sequence(kind: str, seed: SequenceSpec, nmax: int) -> list[LambdaPoly]:
-    """The final sequence directly from weighted Stirling sums, bypassing
-    the table recurrence."""
+    """The final sequence sum_k S2_L(n, k) (-1)^k k! b_k over the kind-B
+    seed b, bypassing the table recurrence."""
     if kind not in ("B", "A"):
         raise ValueError(f"kind must be 'B' or 'A', got {kind!r}")
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
-    seeds = seed.values(nmax + 1)
-    signed = [seeds[k].scale(Fraction((-1) ** k * math.factorial(k))) for k in range(nmax + 1)]
-    if kind == "B":
-        return stirling2_table(nmax).weighted_sums(signed)
-    # kind A: sum_k (S2(n+1, k+1) + n L S2(n, k+1)) signed[k]
-    a = stirling2_table(nmax + 1).weighted_sums([ZERO] + signed)
-    return [a[n + 1] + a[n] * LAM.scale(n) for n in range(nmax + 1)]
+    b = _kind_b_seed(kind, seed, nmax + 1)
+    signed = [b[k].scale(Fraction((-1) ** k * math.factorial(k))) for k in range(nmax + 1)]
+    return stirling2_table(nmax).weighted_sums(signed)
 
 
 def _final_egf(kind: str, seed: SequenceSpec, order: int) -> TruncatedSeries:
@@ -204,20 +210,15 @@ def transform_check(
     """Both sides of the forward transform, truncated at the given order.
 
     Returns (egf, transformed): the exponential generating function of the
-    final sequence, and the seed's ordinary generating function evaluated at
-    1 - e_L(t) (kind A additionally multiplies by e_L(t)).  The two series
-    are equal coefficient-wise; callers assert that.
+    final sequence, and the ordinary generating function of the kind-B seed
+    at 1 - e_L(t); for kind A, the differenced seed's stands for the paper's
+    e_L(t) A(1 - e_L(t)).  The two are equal coefficient-wise; callers assert that.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     egf = _final_egf(kind, seed, order)
-    e = e_lambda_series(order)
-    u = TruncatedSeries.constant(ONE, order) - e
-    ogf = TruncatedSeries(seed.values(order + 1))
-    transformed = ogf.compose(u)
-    if kind == "A":
-        transformed = e * transformed
-    return egf, transformed
+    u = TruncatedSeries.constant(ONE, order) - e_lambda_series(order)
+    return egf, TruncatedSeries(_kind_b_seed(kind, seed, order + 1)).compose(u)
 
 
 def inverse_transform_check(
@@ -225,20 +226,12 @@ def inverse_transform_check(
 ) -> tuple[TruncatedSeries, TruncatedSeries]:
     """Both sides of the inverse transform, truncated at the given order.
 
-    Kind B compares the seed's ordinary generating function against the
-    final-sequence EGF evaluated at log_L(1-t); kind A compares (1-t) times
-    the ordinary generating function against the same evaluation.
+    Compares the ordinary generating function of the kind-B seed (for kind
+    A, (1-t) times the seed's) against the final-sequence EGF evaluated at
+    log_L(1-t).
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     egf = _final_egf(kind, seed, order)
-    v = log_lambda_series(order).negate_variable()
-    rhs = egf.compose(v)
-    ogf_coeffs = seed.values(order + 1)
-    if kind == "B":
-        return TruncatedSeries(ogf_coeffs), rhs
-    lhs = TruncatedSeries(
-        [ogf_coeffs[0]]
-        + [ogf_coeffs[m] - ogf_coeffs[m - 1] for m in range(1, order + 1)]
-    )
-    return lhs, rhs
+    rhs = egf.compose(log_lambda_series(order).negate_variable())
+    return TruncatedSeries(_kind_b_seed(kind, seed, order + 1)), rhs

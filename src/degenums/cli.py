@@ -12,7 +12,7 @@ be supplied as ``--lambda p/q``; decimals are rejected to preserve
 exactness.  With it, ``numbers`` and ``matrix`` run their recurrences at that
 value directly.
 Sizes are bounded: ``numbers --nmax`` and ``matrix --rows`` in 0..200,
-``verify --nmax`` and ``--order`` in 0..30.
+``verify --nmax`` and ``--order`` in 0..30, custom seed degrees in L to 200.
 
 Exit statuses: 0 success, 1 verification failure, 2 usage or input error.
 """
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,6 +39,7 @@ VERIFY_NMAX_CEILING = 30
 VERIFY_ORDER_CEILING = 30
 NUMBERS_NMAX_CEILING = 200
 MATRIX_ROWS_CEILING = 200
+_POWERS = re.compile(r"L\^0*(\d+)")
 
 _SEED_NAMES = {
     "bernoulli": SequenceSpec.bernoulli,
@@ -95,6 +97,9 @@ def _load_custom_seed(path: str) -> SequenceSpec:
         if not line.strip():
             continue
         try:
+            # the degree is read off the text, before parse allocates that many
+            if any(len(d) > 3 or int(d) > MATRIX_ROWS_CEILING for d in _POWERS.findall(line)):
+                raise ValueError(f"degree in L must be at most {MATRIX_ROWS_CEILING}")
             values.append(LambdaPoly.parse(line))
         except ValueError as exc:
             raise ValueError(f"custom seed file {path!r}, line {lineno}: {exc}") from None

@@ -158,10 +158,10 @@ class LambdaPoly:
         return not self._num
 
     def coeff(self, i: int) -> Fraction:
-        """Coefficient of L^i (zero beyond the degree)."""
-        if 0 <= i < len(self._num):
-            return Fraction(self._num[i], self._den)
-        return Fraction(0)
+        """Coefficient of L^i (zero beyond the degree); a negative i raises."""
+        if i < 0:
+            raise IndexError(f"power {i} of L is negative")
+        return Fraction(self._num[i], self._den) if i < len(self._num) else Fraction(0)
 
     # -- arithmetic --------------------------------------------------------
 

@@ -437,3 +437,16 @@ def test_custom_run_at_lam_is_the_symbolic_run_evaluated_there(kind, lam, values
     assert lane.rows == tuple(
         tuple(p.eval_at(lam) for p in row) for row in build_table(kind, seed, rows).rows
     )
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from("BA"), st.lists(_small_polys, min_size=1, max_size=9))
+def test_closed_form_and_transforms_hold_for_custom_seeds(kind, values):
+    # the theorems hold for every seed, not only the bundled three
+    seed = SequenceSpec.custom(values)
+    n = len(values) - 1
+    assert closed_form_final_sequence(kind, seed, n) == final_sequence(build_table(kind, seed, n))
+    egf, transformed = transform_check(kind, seed, n)
+    assert egf == transformed
+    lhs, rhs = inverse_transform_check(kind, seed, n)
+    assert lhs == rhs

@@ -220,6 +220,30 @@ def test_matrix_custom_seed_noncanonical_line(tmp_path, capsys):
     assert "line 2" in err and "not in canonical form" in err
 
 
+@pytest.mark.parametrize("power", ["201", "1000000", "99999999999999999999", "0000201"])
+def test_matrix_custom_seed_degree_above_the_rows_ceiling(tmp_path, capsys, power):
+    # rejected from the text, before parse builds a coefficient list that long
+    path = tmp_path / "seed.txt"
+    path.write_text(f"1\n\n1*L^{power}\n", encoding="utf-8")
+    status, out, err = run_cli(
+        capsys, "matrix", "B", "--seed", "custom", "--rows", "1",
+        "--custom-file", str(path),
+    )
+    assert status == 2 and out == ""
+    assert f"custom seed file {str(path)!r}, line 3" in err
+    assert "degree in L must be at most 200" in err
+
+
+def test_matrix_custom_seed_degree_at_the_rows_ceiling(tmp_path, capsys):
+    path = tmp_path / "seed.txt"
+    path.write_text("1\n1*L^200\n", encoding="utf-8")
+    status, out, _ = run_cli(
+        capsys, "matrix", "B", "--seed", "custom", "--rows", "1",
+        "--custom-file", str(path), "--format", "flat",
+    )
+    assert status == 0 and "-1*L^200" in out
+
+
 def test_custom_file_flag_consistency(tmp_path, capsys):
     path = tmp_path / "seed.txt"
     path.write_text("1\n", encoding="utf-8")

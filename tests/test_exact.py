@@ -188,6 +188,11 @@ def test_coeff_access_and_scale():
     assert p.coeff(0) == 1 and p.coeff(1) == -3 and p.coeff(5) == 0
     assert p.scale(F(1, 3)) == LambdaPoly((F(1, 3), -1))
     assert p.scale(0) == ZERO
+    # a negative power raises, as in TruncatedSeries.coeff and AlgorithmTable.entry
+    for q, i in ((LambdaPoly((1, 2, 3)), -1), (p, -3), (ZERO, -1)):
+        with pytest.raises(IndexError, match="negative"):
+            q.coeff(i)
+    assert ZERO.coeff(0) == 0
 
 
 def test_mixed_scalar_operations():

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degenums.algorithms import SequenceSpec, build_table
+from degenums.algorithms import (
+    SequenceSpec,
+    build_table,
+    closed_form_final_sequence,
+    inverse_transform_check,
+    transform_check,
+)
 from degenums.exact import LAM, ONE, ZERO, LambdaPoly
 from degenums.numbers import _convolve_at, stirling1_table, stirling2_table
 from degenums.series import (
@@ -410,6 +416,34 @@ def test_egf_power_triangle_rejects_a_negative_nmax():
     em1 = e_lambda_series(2) - TruncatedSeries.constant(ONE, 2)
     with pytest.raises(ValueError, match="nmax must be nonnegative"):
         egf_power_triangle(em1, -1)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: closed_form_final_sequence("C", SequenceSpec.bell(), 2), "kind must be"),
+        (lambda: transform_check("B", SequenceSpec.bell(), -1), "order must be nonnegative"),
+        (lambda: inverse_transform_check("A", SequenceSpec.bell(), -1), "order must be"),
+        (lambda: stirling2_table(-1), "nmax must be nonnegative"),
+        (lambda: stirling1_table(-1), "nmax must be nonnegative"),
+        (lambda: e_lambda_x_series(F(1, 2), -1), "order must be nonnegative"),
+        (lambda: log_lambda_series(-1), "order must be nonnegative"),
+        (lambda: apply_weighted_derivation(e_lambda_series(3), -1), "n must be nonnegative"),
+        (lambda: StirlingTable(((ONE,), (ONE,))), "row 1 must have 2 entries"),
+        (lambda: egf_power_triangle(e_lambda_series(2), 2), "zero constant term"),
+        (lambda: egf_power_triangle(log_lambda_series(2), 3), "order >= 3"),
+        (lambda: stirling2_from_series(-1), "nmax must be nonnegative"),
+    ],
+    ids=[
+        "closed_form_kind", "transform_order", "inverse_transform_order",
+        "stirling2_nmax", "stirling1_nmax", "e_lambda_x_order", "log_lambda_order",
+        "derivation_steps", "stirling_row_length", "triangle_constant_term",
+        "triangle_short_series", "stirling2_from_series_nmax",
+    ],
+)
+def test_bad_sizes_and_shapes_raise_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_stirling2_series_matches_recurrence_symbolically():
