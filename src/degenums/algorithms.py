@@ -24,7 +24,7 @@ so the identities that read the same run build it once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .exact import (
@@ -54,24 +54,23 @@ __all__ = [
 SEED_VARIANTS = ("bernoulli_seed", "half_powers", "bell_seed", "custom")
 
 
-@dataclass(frozen=True)
-class SequenceSpec:
+class SequenceSpec(namedtuple("SequenceSpec", "variant custom_values")):
     """A seed sequence: one of the three bundled variants or a custom list.
 
     bernoulli_seed(n) = C(n-L, n)/(n+1); half_powers(n) = (1/2)^n;
     bell_seed(0) = 0, bell_seed(n) = (-1)^n/n! for n >= 1.
     """
 
-    variant: str
-    custom_values: tuple[Value, ...] | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.variant not in SEED_VARIANTS:
-            raise ValueError(f"unknown seed variant: {self.variant!r}")
-        if (self.variant == "custom") != (self.custom_values is not None):
+    def __new__(cls, variant: str, custom_values: tuple[Value, ...] | None = None):
+        if variant not in SEED_VARIANTS:
+            raise ValueError(f"unknown seed variant: {variant!r}")
+        if (variant == "custom") != (custom_values is not None):
             raise ValueError("custom_values must be given exactly for the custom variant")
-        if self.custom_values is not None:
-            object.__setattr__(self, "custom_values", tuple(map(_as_poly, self.custom_values)))
+        if custom_values is not None:
+            custom_values = tuple(map(_as_poly, custom_values))
+        return super().__new__(cls, variant, custom_values)
 
     @classmethod
     def bernoulli(cls) -> "SequenceSpec":
@@ -115,11 +114,10 @@ class SequenceSpec:
         return list(entries) if lam is LAM else [v.eval_at(lam) for v in entries]
 
 
-@dataclass(frozen=True)
-class AlgorithmTable:
+class AlgorithmTable(namedtuple("AlgorithmTable", "rows")):
     """Trapezoidal run of the recurrence: rows[n] holds columns 0..row_count-n."""
 
-    rows: tuple[tuple[Value, ...], ...]
+    __slots__ = ()
 
     def entry(self, n: int, m: int) -> Value:
         if not 0 <= n <= self.row_count:

@@ -16,7 +16,7 @@ check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .algorithms import (
@@ -64,28 +64,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PrintedEntry:
+class PrintedEntry(namedtuple("PrintedEntry", "matrix_id row col printed")):
     """One explicitly printed entry of a reference matrix (no ellipses)."""
 
-    matrix_id: str
-    row: int
-    col: int
-    printed: LambdaPoly
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class MatrixAuditResult:
-    entry: PrintedEntry
-    recomputed: LambdaPoly
-    match: bool
+class MatrixAuditResult(namedtuple("MatrixAuditResult", "entry recomputed match")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class IdentityResult:
-    name: str
-    max_tested: int
-    passed: bool
+class IdentityResult(namedtuple("IdentityResult", "name max_tested passed")):
+    __slots__ = ()
 
 
 # -- printed corpus ----------------------------------------------------------

@@ -23,7 +23,7 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from pathlib import Path
 from typing import TextIO
@@ -61,10 +61,10 @@ _TRIANGLE_FAMILIES = {
 }
 
 
-@dataclass(frozen=True)
-class OutputRecord:
-    kind: str  # number_table | matrix | identity_report | audit_report
-    payload: dict  # exact values (LambdaPoly, Fraction), rendered only by the writers
+class OutputRecord(namedtuple("OutputRecord", "kind payload")):
+    # kind: number_table | matrix | identity_report | audit_report
+    # payload: a dict of exact values (LambdaPoly, Fraction), rendered only by the writers
+    __slots__ = ()
 
 
 def _lambda_arg(text: str) -> Fraction:
@@ -87,7 +87,9 @@ def _check_size(flag: str, value: int, ceiling: int) -> None:
         raise ValueError(f"{flag} must be in 0..{ceiling}")
 
 
-def _load_custom_seed(path: str) -> SequenceSpec:
+def _load_custom_seed(path: str, count: int) -> SequenceSpec:
+    """The first ``count`` entries of a custom seed file; the lines after the
+    last of them are not parsed."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -103,6 +105,8 @@ def _load_custom_seed(path: str) -> SequenceSpec:
             values.append(LambdaPoly.parse(line))
         except ValueError as exc:
             raise ValueError(f"custom seed file {path!r}, line {lineno}: {exc}") from None
+        if len(values) == count:
+            break
     if not values:
         raise ValueError(f"custom seed file {path!r} contains no seed entries")
     return SequenceSpec.custom(values)
@@ -135,7 +139,7 @@ def _cmd_matrix(args: argparse.Namespace) -> OutputRecord:
     lam = args.lam
     point = LAM if lam is None else lam
     if args.seed == "custom":
-        seed = _load_custom_seed(args.custom_file)
+        seed = _load_custom_seed(args.custom_file, args.rows + 1)
     else:
         seed = _SEED_NAMES[args.seed]()
     table = build_table(args.kind, seed, args.rows, point)

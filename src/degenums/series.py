@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -225,22 +225,22 @@ def apply_weighted_derivation(f: TruncatedSeries, n: int) -> tuple[TruncatedSeri
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class StirlingTable:
+class StirlingTable(namedtuple("StirlingTable", "entries")):
     """Triangular table of degenerate Stirling numbers (either kind),
     entries[n][k] for k <= n, as polynomials in L or as rationals at one
     value of L.  Entries outside the triangle read as zero.  The binomial
     convolutions of the number families sum over such a triangle too.
     """
 
-    entries: tuple[tuple[Value, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.entries:
+    def __new__(cls, entries: tuple[tuple[Value, ...], ...]):
+        if not entries:
             raise ValueError("a Stirling table needs row 0")
-        for n, row in enumerate(self.entries):
+        for n, row in enumerate(entries):
             if len(row) != n + 1:
                 raise ValueError(f"row {n} must have {n + 1} entries")
+        return super().__new__(cls, entries)
 
     @property
     def nmax(self) -> int:

@@ -277,7 +277,7 @@ def test_custom_seed_entries_are_polynomials_in_l():
 
 
 def test_seed_constructor_holds_custom_entries_as_polynomials():
-    # the dataclass constructor converts the entries as the classmethod does
+    # the constructor converts the entries as the classmethod does
     spec, two = SequenceSpec("custom", (1, 2)), LambdaPoly.constant(2)
     assert spec == SequenceSpec.custom([1, 2]) and hash(spec) == hash(SequenceSpec.custom([1, 2]))
     assert spec.custom_values == (ONE, two)

@@ -12,8 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import degenums
-from degenums.cli import main
-from degenums.exact import LambdaPoly, format_rat, parse_rat
+from degenums.algorithms import AlgorithmTable, SequenceSpec
+from degenums.audit import IdentityResult, MatrixAuditResult, PrintedEntry
+from degenums.cli import OutputRecord, main
+from degenums.exact import LAM, ONE, ZERO, LambdaPoly, format_rat, parse_rat
+from degenums.series import StirlingTable
 
 F = Fraction
 
@@ -242,6 +245,26 @@ def test_matrix_custom_seed_degree_at_the_rows_ceiling(tmp_path, capsys):
         "--custom-file", str(path), "--format", "flat",
     )
     assert status == 0 and "-1*L^200" in out
+
+
+@pytest.mark.parametrize("fmt", ["structured", "flat"])
+@pytest.mark.parametrize(
+    "tail", ["0.5\n", "1*L^201\n", "2/4\n1\n"], ids=["decimal", "over_degree", "noncanonical"]
+)
+def test_matrix_custom_seed_reads_only_the_entries_it_uses(tmp_path, capsys, fmt, tail):
+    # --rows 2 reads entries 0..2; the lines after entry 2 are not parsed
+    head = "1\n\n1/2 + -1*L\n1/3*L^2\n"
+    outs = []
+    for name, text in (("cut.txt", head), ("long.txt", head + tail)):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        status, out, err = run_cli(
+            capsys, "matrix", "A", "--seed", "custom", "--rows", "2",
+            "--custom-file", str(path), "--format", fmt,
+        )
+        assert (status, err) == (0, "")
+        outs.append(out)
+    assert outs[0] == outs[1]
 
 
 def test_custom_file_flag_consistency(tmp_path, capsys):
@@ -583,6 +606,7 @@ def test_output_is_written_row_by_row(fmt):
         (["matrix", "B", "--rows", "0"], "1\n", "--custom-file is required"),
         (["verify", "--nmax", "-1"], None, "--nmax must be nonnegative"),
         (["verify", "--order", "-1"], None, "--order must be nonnegative"),
+        (["matrix", "B", "--seed", "custom", "--rows", "0"], "\n  \n", "contains no seed entries"),
     ],
 )
 def test_input_errors_exit_2_before_any_output(argv, seed_text, message, fmt, tmp_path, capsys):
@@ -609,6 +633,87 @@ def test_module_invocation_subprocess():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["payload"]["values"] == ["1", "-1/2", "1/2*L"]
+
+
+def test_cli_import_loads_no_unused_modules():
+    # every CLI call is a fresh process, so start-up counts in its wall time;
+    # the records are namedtuples, and dataclasses would load all of these
+    src = str(Path(degenums.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = (
+        "import sys; before = set(sys.modules); import degenums.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "degenums.cli" in added
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
+@pytest.mark.parametrize(
+    "make, field, text",
+    [
+        (
+            lambda: SequenceSpec.custom((1, 2)),
+            "variant",
+            "SequenceSpec(variant='custom', custom_values=(LambdaPoly('1'), LambdaPoly('2')))",
+        ),
+        (
+            lambda: AlgorithmTable(((ONE, LAM), (ONE,))),
+            "rows",
+            "AlgorithmTable(rows=((LambdaPoly('1'), LambdaPoly('1*L')), (LambdaPoly('1'),)))",
+        ),
+        (
+            lambda: StirlingTable(((ONE,), (ZERO, LAM))),
+            "entries",
+            "StirlingTable(entries=((LambdaPoly('1'),), (LambdaPoly('0'), LambdaPoly('1*L'))))",
+        ),
+        (
+            lambda: PrintedEntry("bell_B", 1, 2, LAM),
+            "printed",
+            "PrintedEntry(matrix_id='bell_B', row=1, col=2, printed=LambdaPoly('1*L'))",
+        ),
+        (
+            lambda: MatrixAuditResult(PrintedEntry("bell_B", 1, 2, LAM), ONE, False),
+            "match",
+            "MatrixAuditResult(entry=PrintedEntry(matrix_id='bell_B', row=1, col=2, "
+            "printed=LambdaPoly('1*L')), recomputed=LambdaPoly('1'), match=False)",
+        ),
+        (
+            lambda: IdentityResult("x", 3, True),
+            "passed",
+            "IdentityResult(name='x', max_tested=3, passed=True)",
+        ),
+        (
+            lambda: OutputRecord("matrix", {"rows": 1}),
+            "kind",
+            "OutputRecord(kind='matrix', payload={'rows': 1})",
+        ),
+    ],
+    ids=[
+        "SequenceSpec", "AlgorithmTable", "StirlingTable", "PrintedEntry",
+        "MatrixAuditResult", "IdentityResult", "OutputRecord",
+    ],
+)
+def test_records_are_frozen_values(make, field, text):
+    a, b = make(), make()
+    assert a == b and a is not b
+    if isinstance(a, OutputRecord):  # a record with a dict field does not hash
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(a)
+    else:
+        assert hash(a) == hash(b) and len({a: 0, b: 1}) == 1
+    with pytest.raises(AttributeError):
+        setattr(a, field, None)
+    with pytest.raises(AttributeError):
+        a.extra = None
+    assert a == b and repr(a) == text
 
 
 def test_missing_subcommand_usage_error():
