@@ -37,8 +37,8 @@ from .exact import (
     ring_one,
     times_linear_add,
 )
-from .numbers import _KEPT_ROWS, stirling2_table
-from .series import TruncatedSeries, _as_poly, e_lambda_series, log_lambda_series
+from .numbers import stirling2_table
+from .series import _KEPT_ROWS, TruncatedSeries, _as_poly, e_lambda_series, log_lambda_series
 
 __all__ = [
     "SEED_VARIANTS",
@@ -71,6 +71,11 @@ class SequenceSpec(namedtuple("SequenceSpec", "variant custom_values")):
         if custom_values is not None:
             custom_values = tuple(map(_as_poly, custom_values))
         return super().__new__(cls, variant, custom_values)
+
+    @classmethod
+    def _make(cls, iterable):
+        # through __new__, so that _replace checks as the constructor does
+        return cls(*iterable)
 
     @classmethod
     def bernoulli(cls) -> "SequenceSpec":
@@ -211,12 +216,15 @@ def transform_check(
     final sequence, and the ordinary generating function of the kind-B seed
     at 1 - e_L(t); for kind A, the differenced seed's stands for the paper's
     e_L(t) A(1 - e_L(t)).  The two are equal coefficient-wise; callers assert that.
+    The seed's series at 1 - e_L(t) is taken as its series at -t composed
+    with e_L(t) - 1, whose power table the suite's other oracles read too.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     egf = _final_egf(kind, seed, order)
-    u = TruncatedSeries.constant(ONE, order) - e_lambda_series(order)
-    return egf, TruncatedSeries(_kind_b_seed(kind, seed, order + 1)).compose(u)
+    em1 = e_lambda_series(order) - TruncatedSeries.constant(ONE, order)
+    ogf = TruncatedSeries(_kind_b_seed(kind, seed, order + 1))
+    return egf, ogf.negate_variable().compose(em1)
 
 
 def inverse_transform_check(
@@ -226,10 +234,11 @@ def inverse_transform_check(
 
     Compares the ordinary generating function of the kind-B seed (for kind
     A, (1-t) times the seed's) against the final-sequence EGF evaluated at
-    log_L(1-t).
+    log_L(1-t), taken as the EGF at log_L(1+t) with -t put for t, so that it
+    reads the power table of log_L(1+t).
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     egf = _final_egf(kind, seed, order)
-    rhs = egf.compose(log_lambda_series(order).negate_variable())
+    rhs = egf.compose(log_lambda_series(order)).negate_variable()
     return TruncatedSeries(_kind_b_seed(kind, seed, order + 1)), rhs

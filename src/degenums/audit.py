@@ -283,14 +283,13 @@ def _id_bernoulli_euler_series(nmax: int, order: int) -> tuple[int, list[Pair]]:
 
 def _id_bell_series(nmax: int, order: int) -> tuple[int, list[Pair]]:
     cap = min(nmax, 12)
-    e = e_lambda_series(cap)
-    em1 = e - TruncatedSeries.constant(ONE, cap)
-    exp_series = TruncatedSeries(
-        Fraction(1, math.factorial(k)) for k in range(cap + 1)
-    )
+    em1 = e_lambda_series(cap) - TruncatedSeries.constant(ONE, cap)
     pairs: list[Pair] = []
     for x in (1, 2, -1):
-        egf = exp_series.compose(em1.scale(x))
+        # exp(x (e_L(t) - 1)) as exp(x t) at e_L(t) - 1, whose power table
+        # the Stirling oracles read too
+        exp_x = TruncatedSeries(Fraction(x**k, math.factorial(k)) for k in range(cap + 1))
+        egf = exp_x.compose(em1)
         values = bell_deg_sequence(cap, x)
         for n in range(cap + 1):
             pairs.append((egf.coeff(n).scale(math.factorial(n)), values[n]))

@@ -25,7 +25,6 @@ import re
 import sys
 from collections import namedtuple
 from fractions import Fraction
-from pathlib import Path
 from typing import TextIO
 
 from . import numbers as num
@@ -88,25 +87,30 @@ def _check_size(flag: str, value: int, ceiling: int) -> None:
 
 
 def _load_custom_seed(path: str, count: int) -> SequenceSpec:
-    """The first ``count`` entries of a custom seed file; the lines after the
-    last of them are not parsed."""
+    """The first ``count`` entries of a custom seed file, read line by line;
+    reading stops after the last of them, so the lines after it are not
+    parsed."""
+    values = []
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8", newline="") as handle:
+            # str.splitlines of each physical line numbers the lines as it
+            # does on the whole text, form feeds and other breaks included
+            lines = (line for physical in handle for line in physical.splitlines())
+            for lineno, line in enumerate(lines, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    # the degree is read off the text, before parse allocates that many
+                    degrees = _POWERS.findall(line)
+                    if any(len(d) > 3 or int(d) > MATRIX_ROWS_CEILING for d in degrees):
+                        raise ValueError(f"degree in L must be at most {MATRIX_ROWS_CEILING}")
+                    values.append(LambdaPoly.parse(line))
+                except ValueError as exc:
+                    raise ValueError(f"custom seed file {path!r}, line {lineno}: {exc}") from None
+                if len(values) == count:
+                    break
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read custom seed file {path!r}: {exc}") from None
-    values = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            # the degree is read off the text, before parse allocates that many
-            if any(len(d) > 3 or int(d) > MATRIX_ROWS_CEILING for d in _POWERS.findall(line)):
-                raise ValueError(f"degree in L must be at most {MATRIX_ROWS_CEILING}")
-            values.append(LambdaPoly.parse(line))
-        except ValueError as exc:
-            raise ValueError(f"custom seed file {path!r}, line {lineno}: {exc}") from None
-        if len(values) == count:
-            break
     if not values:
         raise ValueError(f"custom seed file {path!r} contains no seed entries")
     return SequenceSpec.custom(values)

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .exact import LAM, Scalar, Value, as_fraction, ring_one, times_linear_add
-from .series import StirlingTable
+from .series import _KEPT_ROWS, StirlingTable
 
 __all__ = [
     "StirlingTable",
@@ -47,7 +47,6 @@ __all__ = [
 # it.  Triangles of more than _KEPT_ROWS rows (the CLI's) are not kept: they
 # are built once per run, and keeping them would hold memory for the rest of
 # it.  At most four values of L are kept.
-_KEPT_ROWS = 32
 _stirling2_rows: dict[Value, list[tuple]] = {}
 
 

@@ -14,7 +14,6 @@ e_L(t) - 1 and log_L(1+t).
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import namedtuple
 from fractions import Fraction
@@ -242,6 +241,11 @@ class StirlingTable(namedtuple("StirlingTable", "entries")):
                 raise ValueError(f"row {n} must have {n + 1} entries")
         return super().__new__(cls, entries)
 
+    @classmethod
+    def _make(cls, iterable):
+        # through __new__, so that _replace checks as the constructor does
+        return cls(*iterable)
+
     @property
     def nmax(self) -> int:
         return len(self.entries) - 1
@@ -310,20 +314,47 @@ class StirlingTable(namedtuple("StirlingTable", "entries")):
         return out
 
 
-@functools.lru_cache(maxsize=16)
+# The power table of each series asked for so far, as (coefficients of g,
+# columns), columns[k][n] = [t^n] g^k, so that the compositions through
+# e_L(t) - 1 and log_L(1+t) read one table each.  A request that agrees with
+# a kept series on their common leading coefficients is cut from its table,
+# which grows in place to a longer order or more powers; a cell held is never
+# rebuilt.  Tables of order or power above _KEPT_ROWS are not kept, and at
+# most four series are.
+_KEPT_ROWS = 32
+_power_tables: list[tuple[list[LambdaPoly], list[list[LambdaPoly]]]] = []
+
+
 def powers(g: TruncatedSeries, n: int) -> tuple[TruncatedSeries, ...]:
     """The power table (g^0, g^1, ..., g^n), each at the order of g.
 
-    Memoised per process on the value of (g, n), for the 16 most recent
-    tables, so the identity suite builds each distinct table once however
-    many compositions read it; the table is an immutable tuple, so every
-    caller can share it."""
+    Cut from the kept table of the series that agrees with g on its leading
+    coefficients, grown first where g asks for a longer order or more powers,
+    so the identity suite builds each cell of a table once however many
+    compositions read it.  Each cell is one ``sum_of_products``, as in a
+    series product."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    table = [TruncatedSeries.constant(ONE, g.order)]
-    for _ in range(n):
-        table.append(table[-1] * g)
-    return tuple(table)
+    gs, top = g.coeffs, g.order + 1
+    keep = max(g.order, n) <= _KEPT_ROWS
+    table = next((t for t in _power_tables if keep and tuple(t[0][:top]) == gs[: len(t[0])]), None)
+    if table is None:
+        table = ([], [[]])
+        if keep:
+            del _power_tables[:-3]
+            _power_tables.append(table)
+    base, cols = table
+    base.extend(gs[len(base) :])
+    cols[0].extend(ZERO if i else ONE for i in range(len(cols[0]), len(base)))
+    for k in range(1, max(n + 1, len(cols))):
+        if k == len(cols):
+            cols.append([])
+        prev, col = cols[k - 1], cols[k]
+        col.extend(
+            LambdaPoly.sum_of_products(zip(prev[: i + 1], base[i::-1]))
+            for i in range(len(col), len(base))
+        )
+    return tuple(TruncatedSeries(col[:top]) for col in cols[: n + 1])
 
 
 def egf_power_triangle(g: TruncatedSeries, nmax: int) -> tuple[tuple[LambdaPoly, ...], ...]:

@@ -23,7 +23,7 @@ from degenums.numbers import (
     euler_deg_poly_sequence,
     euler_deg_sequence,
 )
-from degenums.series import TruncatedSeries, e_lambda_series
+from degenums.series import TruncatedSeries, e_lambda_series, log_lambda_series
 
 F = Fraction
 P = LambdaPoly.parse
@@ -56,6 +56,15 @@ def test_seed_validation():
     for seed in ALL_SEEDS + (SequenceSpec.custom([ONE]),):
         with pytest.raises(ValueError):
             seed.values(-1)
+
+
+def test_seed_replace_and_make_check_as_the_constructor_does():
+    with pytest.raises(ValueError, match="unknown seed variant: 'nonsense'"):
+        SequenceSpec.half_powers()._replace(variant="nonsense")
+    with pytest.raises(ValueError, match="custom_values must be given"):
+        SequenceSpec._make(["custom", None])
+    spec = SequenceSpec.half_powers()._replace(variant="custom", custom_values=(1, LAM))
+    assert spec == SequenceSpec.custom([ONE, LAM]) and spec.custom_values == (ONE, LAM)
 
 
 @settings(deadline=None)
@@ -450,3 +459,29 @@ def test_closed_form_and_transforms_hold_for_custom_seeds(kind, values):
     assert egf == transformed
     lhs, rhs = inverse_transform_check(kind, seed, n)
     assert lhs == rhs
+
+
+def _assert_transforms_are_the_compositions_as_first_written(kind, seed, order):
+    # the transforms as first written: the seed's series at 1 - e_L(t), and
+    # the final EGF at log_L(1 - t)
+    egf, forward = transform_check(kind, seed, order)
+    ogf = TruncatedSeries(algorithms._kind_b_seed(kind, seed, order + 1))
+    one_minus_e = TruncatedSeries.constant(ONE, order) - e_lambda_series(order)
+    assert forward.coeffs == ogf.compose(one_minus_e).coeffs
+    inverse = egf.compose(log_lambda_series(order).negate_variable())
+    assert inverse_transform_check(kind, seed, order)[1].coeffs == inverse.coeffs
+
+
+@pytest.mark.parametrize("kind", ["B", "A"])
+@pytest.mark.parametrize("seed", ALL_SEEDS, ids=["bernoulli", "half", "bell"])
+def test_transforms_are_the_compositions_as_first_written(kind, seed):
+    # B(1 - e_L(t)) = B(-t) at e_L(t) - 1, and F(log_L(1 - t)) = F(log_L(1 + t))
+    # at -t: both sides read the kept power tables now, with unchanged values
+    _assert_transforms_are_the_compositions_as_first_written(kind, seed, 12)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.sampled_from("BA"), st.lists(_small_polys, min_size=1, max_size=9))
+def test_custom_transforms_are_the_compositions_as_first_written(kind, values):
+    seed = SequenceSpec.custom(values)
+    _assert_transforms_are_the_compositions_as_first_written(kind, seed, len(values) - 1)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from degenums.audit import (
 )
 from degenums.exact import LAM, ONE, LambdaPoly
 from degenums.numbers import bernoulli_deg_sequence, classical_bernoulli, stirling2_table
-from degenums.series import StirlingTable, TruncatedSeries
+from degenums.series import StirlingTable, TruncatedSeries, e_lambda_series, log_lambda_series
 
 F = Fraction
 P = LambdaPoly.parse
@@ -249,25 +250,77 @@ def test_identity_suite_builds_each_stirling_row_once(monkeypatch):
 
 
 def test_identity_suite_builds_each_power_table_once(monkeypatch):
-    # record every (g, n) the suite asks series.powers for, through both
-    # names it is called by: each distinct key is built on its first request
-    # only, and every later request of an equal key is a cache hit
+    # every power table the suite reads, through both names series.powers is
+    # called by, is cut from the kept tables of e_L(t) - 1 and log_L(1+t),
+    # each at order 24 with 25 powers.  Each (base, power, coefficient) cell
+    # is one sum_of_products while powers runs: the suite computes 1200, as
+    # many as the two tables hold, so none is computed twice.  Nine distinct
+    # tables of 3090 cells were built when each was kept under its own value.
     from degenums import audit, series
 
-    requests = []
-    cached = series.powers
+    requests, cells, inside = [], [], []
+    real_powers, real_products = series.powers, LambdaPoly.sum_of_products
 
     def recording(g, n):
         requests.append((g, n))
-        return cached(g, n)
+        inside.append(True)
+        try:
+            return real_powers(g, n)
+        finally:
+            inside.pop()
 
+    def counting(cls, pairs):
+        if inside:
+            cells.append(1)
+        return real_products(pairs)
+
+    monkeypatch.setattr(series, "_power_tables", [])
     monkeypatch.setattr(series, "powers", recording)
     monkeypatch.setattr(audit, "powers", recording)
-    cached.cache_clear()
+    monkeypatch.setattr(LambdaPoly, "sum_of_products", classmethod(counting))
     assert all(r.passed for r in run_identity_suite(30, 30))
-    info = cached.cache_info()
-    assert info.misses == len(set(requests)) < len(requests)
-    assert info.hits == len(requests) - info.misses
+    em1 = e_lambda_series(24) - TruncatedSeries.constant(ONE, 24)
+    bases = [TruncatedSeries(base) for base, _ in series._power_tables]
+    assert bases == [em1, log_lambda_series(24)]
+    assert [[len(col) for col in cols] for _, cols in series._power_tables] == [[25] * 25] * 2
+    assert len(cells) == 2 * 24 * 25 == 1200
+    assert len(requests) > 2
+    assert all(any(g == b.truncate(g.order) for b in bases) for g, _ in requests)
+
+
+def test_kept_power_table_with_a_wrong_cell_fails_every_reader(monkeypatch):
+    # the t^5 coefficient of (e_L(t) - 1)^2 in the kept table off by L: the
+    # table is built once and kept, and every identity that reads it fails
+    from degenums import series
+
+    readers = [
+        "stirling2_three_way",
+        "bell_series_match",
+        "ogf_egf_transforms",
+        "stirling2_shift_identity",
+        "exp_log_compositional_inverse",
+    ]
+    monkeypatch.setattr(series, "_power_tables", [])
+    assert all(r.passed for r in run_identity_suite(8, 8))
+    (base, cols), _ = series._power_tables
+    assert TruncatedSeries(base) == e_lambda_series(8) - TruncatedSeries.constant(ONE, 8)
+    cols[2][5] = cols[2][5] + LAM
+    assert [r.name for r in run_identity_suite(8, 8) if not r.passed] == readers
+
+
+def test_bell_series_is_exp_at_x_times_e_minus_1():
+    # exp(x t) at e_L(t) - 1 is exp(t) at x (e_L(t) - 1), the oracle as first
+    # written, for each x the identity checks
+    from degenums import audit
+
+    cap, pairs = audit._id_bell_series(30, 30)
+    em1 = e_lambda_series(cap) - TruncatedSeries.constant(ONE, cap)
+    exp_series = TruncatedSeries(F(1, math.factorial(k)) for k in range(cap + 1))
+    expected = []
+    for x in (1, 2, -1):
+        egf = exp_series.compose(em1.scale(x))
+        expected += [egf.coeff(n).scale(math.factorial(n)) for n in range(cap + 1)]
+    assert cap == 12 and [lhs for lhs, _ in pairs] == expected
 
 
 def test_identity_suite_runs_each_kind_ab_run_once(monkeypatch):

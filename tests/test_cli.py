@@ -212,6 +212,31 @@ def test_matrix_custom_seed_malformed_line(tmp_path, capsys):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize(
+    "text, bad",
+    [
+        ("1\r\n\x0c2\x853\r\n\r4\u20285\x1c\x1d\n6\v0.5\n7\n", 11),
+        # the CRLF of line 2731 straddles the reader's first 8192 bytes
+        (" \r\n" * 5000 + "1\r\n0.5\r\n", 5002),
+    ],
+    ids=["mixed_breaks", "crlf_across_a_chunk"],
+)
+def test_matrix_custom_seed_line_numbers_follow_splitlines(tmp_path, capsys, text, bad):
+    # the file is read line by line, but its lines are numbered as
+    # str.splitlines numbers the whole text: CRLF is one break, and form
+    # feed, NEL, the line separator and the other breaks it knows end a line
+    assert text.splitlines().index("0.5") + 1 == bad
+    path = tmp_path / "seed.txt"
+    path.write_bytes(text.encode("utf-8"))
+    status, out, err = run_cli(
+        capsys, "matrix", "B", "--seed", "custom", "--rows", "9",
+        "--custom-file", str(path),
+    )
+    assert status == 2
+    assert out == ""
+    assert f"custom seed file {str(path)!r}, line {bad}:" in err
+
+
 def test_matrix_custom_seed_noncanonical_line(tmp_path, capsys):
     path = tmp_path / "seed.txt"
     path.write_text("1\n2/4\n", encoding="utf-8")

@@ -127,22 +127,68 @@ def test_compose_with_scaled_variable(f, c):
     assert f.compose(ct).coeffs == tuple(expected)
 
 
-@settings(deadline=None, max_examples=60)
-@given(series, orders)
-def test_powers_are_repeated_products(g, n):
-    powers.cache_clear()
-    table = powers(g, n)
-    assert type(table) is tuple and len(table) == n + 1
-    product = TruncatedSeries.constant(ONE, g.order)
-    for k in range(n + 1):
-        assert table[k] == product
+def _repeated_products(g, n):
+    product, table = TruncatedSeries.constant(ONE, g.order), []
+    for _ in range(n + 1):
+        table.append(product)
         product = product * g
-    # the second call, and a call with an equal series built from new
-    # objects, are cache hits returning the same table
+    return tuple(table)
+
+
+sizes = st.tuples(st.integers(0, 8), st.integers(0, 8))
+
+
+@settings(deadline=None, max_examples=60)
+@given(series_of(8), st.lists(sizes, min_size=1, max_size=6))
+def test_powers_are_repeated_products(g, requests):
+    # requests for one series in any sequence of truncations, longer orders
+    # and more powers: each table is the repeated products, and the kept
+    # table grows one product cell at a time, each computed once, to the
+    # largest order and power count asked for.  A request with an equal
+    # series built from new objects computes no cell.
+    from degenums import series as series_module
+
+    expected = [_repeated_products(g.truncate(m), n) for m, n in requests]
+    top, most = max(m for m, _ in requests), max(n for _, n in requests)
+    widest = _repeated_products(g.truncate(top), most)
     twin = TruncatedSeries([LambdaPoly.parse(c.render()) for c in g.coeffs])
     assert twin is not g and all(a is not b for a, b in zip(twin.coeffs, g.coeffs))
-    assert powers(g, n) is table and powers(twin, n) is table
-    assert powers.cache_info()[:2] == (2, 1)  # (hits, misses)
+    products = []
+    real = LambdaPoly.sum_of_products
+
+    def counting(cls, pairs):
+        products.append(1)
+        return real(pairs)
+
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(series_module, "_power_tables", [])
+        patched.setattr(LambdaPoly, "sum_of_products", classmethod(counting))
+        for (m, n), table in zip(requests, expected):
+            got = powers(g.truncate(m), n)
+            assert type(got) is tuple and got == table
+        assert len(products) == most * (top + 1)
+        assert powers(twin.truncate(top), most) == widest
+        assert len(products) == most * (top + 1)
+        assert len(series_module._power_tables) == 1
+
+
+def test_power_tables_keep_orders_up_to_32_and_four_series(monkeypatch):
+    from degenums import series as series_module
+
+    kept = []
+    monkeypatch.setattr(series_module, "_power_tables", kept)
+    long = TruncatedSeries([ZERO, ONE, LAM] + [ONE] * 31)  # order 33
+    assert powers(long, 2) == _repeated_products(long, 2)
+    assert powers(long.truncate(3), 33) == _repeated_products(long.truncate(3), 33)
+    assert kept == []
+    assert powers(long.truncate(32), 32)[32].coeffs == (ZERO,) * 32 + (ONE,)
+    assert len(kept) == 1
+    for c in range(1, 7):
+        g = TruncatedSeries([c, LAM, ONE])
+        assert powers(g, 3) == _repeated_products(g, 3)
+        assert len(kept) == min(c + 1, 4)
+    # the oldest series goes first
+    assert [base[0] for base, _ in kept] == [LambdaPoly.constant(c) for c in (3, 4, 5, 6)]
 
 
 @settings(deadline=None, max_examples=80)
@@ -205,6 +251,14 @@ def test_stirling_table_needs_row_0():
     # the kernels read the ring of the entries off entry (0, 0)
     with pytest.raises(ValueError, match="a Stirling table needs row 0"):
         StirlingTable(())
+
+
+def test_stirling_table_replace_and_make_check_as_the_constructor_does():
+    with pytest.raises(ValueError, match="a Stirling table needs row 0"):
+        StirlingTable(((ONE,),))._replace(entries=())
+    with pytest.raises(ValueError, match="row 1 must have 2 entries"):
+        StirlingTable._make([((ONE,), (ONE,))])
+    assert StirlingTable(((ONE,),))._replace(entries=((LAM,),)) == StirlingTable(((LAM,),))
 
 
 # -- nested sums: Horner over polynomials, multiplied out at a rational L -------
