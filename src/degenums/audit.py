@@ -235,8 +235,7 @@ def _all_seeds() -> list[SequenceSpec]:
     return list(_MATRIX_SEEDS.values())
 
 
-def _id_stirling2_three_way(nmax: int, order: int) -> tuple[int, list[Pair]]:
-    cap = min(nmax, 15)
+def _id_stirling2_three_way(cap: int) -> list[Pair]:
     rec = stirling2_table(cap)
     ser = stirling2_from_series(cap)
     bas = stirling2_by_basis_expansion(cap)
@@ -245,11 +244,10 @@ def _id_stirling2_three_way(nmax: int, order: int) -> tuple[int, list[Pair]]:
         for k in range(n + 1):
             pairs.append((rec.entry(n, k), ser.entry(n, k)))
             pairs.append((rec.entry(n, k), bas.entry(n, k)))
-    return cap, pairs
+    return pairs
 
 
-def _id_classical_limits(nmax: int, order: int) -> tuple[int, list[Pair]]:
-    cap = min(nmax, 20)
+def _id_classical_limits(cap: int) -> list[Pair]:
     bern = bernoulli_deg_sequence(cap)
     euler = euler_deg_sequence(cap)
     bell = bell_deg_sequence(cap)
@@ -261,11 +259,10 @@ def _id_classical_limits(nmax: int, order: int) -> tuple[int, list[Pair]]:
         pairs.append((bern[n].eval_at(0), cb[n]))
         pairs.append((euler[n].eval_at(0), ce[n]))
         pairs.append((bell[n].eval_at(0), cl[n]))
-    return cap, pairs
+    return pairs
 
 
-def _id_bernoulli_euler_series(nmax: int, order: int) -> tuple[int, list[Pair]]:
-    cap = min(nmax, 20)
+def _id_bernoulli_euler_series(cap: int) -> list[Pair]:
     e_hi = e_lambda_series(cap + 1)
     one = TruncatedSeries.constant(ONE, cap + 1)
     bern_egf = (e_hi - one).shift_down(1).reciprocal()
@@ -278,11 +275,10 @@ def _id_bernoulli_euler_series(nmax: int, order: int) -> tuple[int, list[Pair]]:
         fact = math.factorial(n)
         pairs.append((bern_egf.coeff(n).scale(fact), bern[n]))
         pairs.append((euler_egf.coeff(n).scale(fact), euler[n]))
-    return cap, pairs
+    return pairs
 
 
-def _id_bell_series(nmax: int, order: int) -> tuple[int, list[Pair]]:
-    cap = min(nmax, 12)
+def _id_bell_series(cap: int) -> list[Pair]:
     em1 = e_lambda_series(cap) - TruncatedSeries.constant(ONE, cap)
     pairs: list[Pair] = []
     for x in (1, 2, -1):
@@ -293,14 +289,13 @@ def _id_bell_series(nmax: int, order: int) -> tuple[int, list[Pair]]:
         values = bell_deg_sequence(cap, x)
         for n in range(cap + 1):
             pairs.append((egf.coeff(n).scale(math.factorial(n)), values[n]))
-    return cap, pairs
+    return pairs
 
 
-def _id_stirling1_inversions(nmax: int, order: int) -> tuple[int, list[Pair]]:
+def _id_stirling1_inversions(cap: int) -> list[Pair]:
     # The first kind's row recurrence against its series triangle and against
     # the second kind, sum_k S1(n,k) S2(k,m) = [n = m]; then the families'
     # weighted first-kind sums against closed falling factorials.
-    cap = min(nmax, 18)
     s1 = stirling1_table(cap)
     ser = stirling1_from_series(cap)
     s2 = stirling2_table(cap)
@@ -340,22 +335,20 @@ def _id_stirling1_inversions(nmax: int, order: int) -> tuple[int, list[Pair]]:
                 LambdaPoly.constant(Fraction((-1) ** (n - 1) * math.factorial(n), 2**n)),
             )
         )
-    return cap, pairs
+    return pairs
 
 
-def _id_final_vs_closed_form(nmax: int, order: int) -> tuple[int, list[Pair]]:
-    cap = min(nmax, 24)
+def _id_final_vs_closed_form(cap: int) -> list[Pair]:
     pairs: list[Pair] = []
     for kind in ("B", "A"):
         for seed in _all_seeds():
             finals = final_sequence(build_table(kind, seed, cap))
             closed = closed_form_final_sequence(kind, seed, cap)
             pairs.extend(zip(finals, closed))
-    return cap, pairs
+    return pairs
 
 
-def _id_named_families(nmax: int, order: int) -> tuple[int, list[Pair]]:
-    cap = min(nmax, 24)
+def _id_named_families(cap: int) -> list[Pair]:
     pairs: list[Pair] = []
     b_bern = final_sequence(build_table("B", SequenceSpec.bernoulli(), cap))
     pairs.extend(zip(b_bern, bernoulli_deg_sequence(cap)))
@@ -367,21 +360,19 @@ def _id_named_families(nmax: int, order: int) -> tuple[int, list[Pair]]:
     pairs.extend(zip(a_bern, bernoulli_deg_poly_sequence(cap, 1)))
     a_half = final_sequence(build_table("A", SequenceSpec.half_powers(), cap))
     pairs.extend(zip(a_half, euler_deg_poly_sequence(cap, 1)))
-    return cap, pairs
+    return pairs
 
 
-def _id_transforms(nmax: int, order: int) -> tuple[int, list[Pair]]:
-    cap = min(order, 20)
+def _id_transforms(cap: int) -> list[Pair]:
     pairs: list[Pair] = []
     for kind in ("B", "A"):
         for seed in _all_seeds():
             pairs.extend(_series_pairs(*transform_check(kind, seed, cap)))
             pairs.extend(_series_pairs(*inverse_transform_check(kind, seed, cap)))
-    return cap, pairs
+    return pairs
 
 
-def _id_stirling2_shift(nmax: int, order: int) -> tuple[int, list[Pair]]:
-    cap = min(nmax, 15)
+def _id_stirling2_shift(cap: int) -> list[Pair]:
     e = e_lambda_series(cap)
     em1 = e - TruncatedSeries.constant(ONE, cap)
     s2 = stirling2_table(cap + 1)
@@ -394,11 +385,10 @@ def _id_stirling2_shift(nmax: int, order: int) -> tuple[int, list[Pair]]:
             )
             rhs = s2.entry(n + 1, k + 1) + s2.entry(n, k + 1) * LAM.scale(n)
             pairs.append((lhs, rhs))
-    return cap, pairs
+    return pairs
 
 
-def _id_classical_degeneration(nmax: int, order: int) -> tuple[int, list[Pair]]:
-    cap = min(nmax, 12)
+def _id_classical_degeneration(cap: int) -> list[Pair]:
     pairs: list[Pair] = []
     for kind in ("B", "A"):
         for seed in _all_seeds():
@@ -408,30 +398,29 @@ def _id_classical_degeneration(nmax: int, order: int) -> tuple[int, list[Pair]]:
             for n in range(cap + 1):
                 for m in range(cap - n + 1):
                     pairs.append((table.entry(n, m).eval_at(0), classical[n][m]))
-    return cap, pairs
+    return pairs
 
 
-def _id_exp_log_inverse(nmax: int, order: int) -> tuple[int, list[Pair]]:
-    cap = min(order, 24)
+def _id_exp_log_inverse(cap: int) -> list[Pair]:
     e = e_lambda_series(cap)
     one = TruncatedSeries.constant(ONE, cap)
     lg = log_lambda_series(cap)
     t = TruncatedSeries([ZERO, ONE] + [ZERO] * (cap - 1)) if cap >= 1 else TruncatedSeries([ZERO])
     pairs = _series_pairs(lg.compose(e - one), t)
     pairs += _series_pairs(e.compose(lg), one + t)
-    return cap, pairs
+    return pairs
 
 
-def _id_derivation_rows(nmax: int, order: int) -> tuple[int, list[Pair]]:
-    base = min(order, 12)
-    cap = min(6, base)
+def _id_derivation_rows(cap: int) -> list[Pair]:
+    # rows 0..cap of the operator against a kind-B run of 2 * cap rows
+    base = 2 * cap
     pairs: list[Pair] = []
     for seed in _all_seeds():
         f0 = TruncatedSeries(seed.values(base + 1))
         table = build_table("B", seed, base)
         for derived, row in zip(apply_weighted_derivation(f0, cap), table.rows):
             pairs.extend(zip(derived.coeffs, row))
-    return cap, pairs
+    return pairs
 
 
 def _lane_values(lam: Fraction | LambdaPoly, cap: int) -> list:
@@ -446,34 +435,35 @@ def _lane_values(lam: Fraction | LambdaPoly, cap: int) -> list:
     return values
 
 
-def _id_scalar_lane(nmax: int, order: int) -> tuple[int, list[Pair]]:
+def _id_scalar_lane(cap: int) -> list[Pair]:
     # symbolic then evaluated against the recurrences run at the rational L
-    cap = min(nmax, 12)
     symbolic = _lane_values(LAM, cap)
     pairs: list[Pair] = []
     for lam in (Fraction(1, 2), Fraction(-3, 7), Fraction(2)):
         lane = _lane_values(lam, cap)
         pairs.extend((p.eval_at(lam), v) for p, v in zip(symbolic, lane))
-    return cap, pairs
+    return pairs
 
 
-_IDENTITY_REGISTRY: tuple[tuple[str, object], ...] = (
-    ("stirling2_three_way", _id_stirling2_three_way),
-    ("classical_limits_at_lambda0", _id_classical_limits),
-    ("bernoulli_euler_series_match", _id_bernoulli_euler_series),
-    ("bell_series_match", _id_bell_series),
-    ("stirling1_inversions", _id_stirling1_inversions),
-    ("final_vs_closed_form", _id_final_vs_closed_form),
-    ("named_family_identification", _id_named_families),
-    ("ogf_egf_transforms", _id_transforms),
-    ("stirling2_shift_identity", _id_stirling2_shift),
-    ("classical_table_degeneration", _id_classical_degeneration),
-    ("exp_log_compositional_inverse", _id_exp_log_inverse),
-    ("derivation_operator_rows", _id_derivation_rows),
-    ("scalar_lane_matches_symbolic", _id_scalar_lane),
+# (name, the size it reads, its limit, check): each check runs at
+# cap = min(size, limit) and returns the pairs that must be equal
+_IDENTITY_REGISTRY: tuple[tuple[str, str, int, object], ...] = (
+    ("stirling2_three_way", "nmax", 15, _id_stirling2_three_way),
+    ("classical_limits_at_lambda0", "nmax", 20, _id_classical_limits),
+    ("bernoulli_euler_series_match", "nmax", 20, _id_bernoulli_euler_series),
+    ("bell_series_match", "nmax", 12, _id_bell_series),
+    ("stirling1_inversions", "nmax", 18, _id_stirling1_inversions),
+    ("final_vs_closed_form", "nmax", 24, _id_final_vs_closed_form),
+    ("named_family_identification", "nmax", 24, _id_named_families),
+    ("ogf_egf_transforms", "order", 20, _id_transforms),
+    ("stirling2_shift_identity", "nmax", 15, _id_stirling2_shift),
+    ("classical_table_degeneration", "nmax", 12, _id_classical_degeneration),
+    ("exp_log_compositional_inverse", "order", 24, _id_exp_log_inverse),
+    ("derivation_operator_rows", "order", 6, _id_derivation_rows),
+    ("scalar_lane_matches_symbolic", "nmax", 12, _id_scalar_lane),
 )
 
-IDENTITY_NAMES: tuple[str, ...] = tuple(name for name, _ in _IDENTITY_REGISTRY)
+IDENTITY_NAMES: tuple[str, ...] = tuple(row[0] for row in _IDENTITY_REGISTRY)
 
 
 def run_identity_suite(
@@ -490,9 +480,11 @@ def run_identity_suite(
         raise ValueError("nmax and order must be nonnegative")
     if inject_fault is not None and inject_fault not in IDENTITY_NAMES:
         raise ValueError(f"unknown identity for fault injection: {inject_fault!r}")
+    sizes = {"nmax": nmax, "order": order}
     results = []
-    for name, func in _IDENTITY_REGISTRY:
-        cap, pairs = func(nmax, order)
+    for name, size, limit, check in _IDENTITY_REGISTRY:
+        cap = min(sizes[size], limit)
+        pairs = check(cap)
         if name == inject_fault and pairs:
             lhs, rhs = pairs[0]
             pairs[0] = (lhs + 1, rhs)

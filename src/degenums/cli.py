@@ -14,13 +14,16 @@ value directly.
 Sizes are bounded: ``numbers --nmax`` and ``matrix --rows`` in 0..200,
 ``verify --nmax`` and ``--order`` in 0..30, custom seed degrees in L to 200.
 
-Exit statuses: 0 success, 1 verification failure, 2 usage or input error.
+Exit statuses: 0 success, 1 verification failure, 2 usage or input error,
+141 when the reader closes stdout early (128 + SIGPIPE), with nothing on
+stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from collections import namedtuple
@@ -351,4 +354,11 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe: a quiet shutdown flush, SIGPIPE's status
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 141
+    sys.exit(status)

@@ -14,6 +14,7 @@ e_L(t) - 1 and log_L(1+t).
 
 from __future__ import annotations
 
+import _thread
 import math
 from collections import namedtuple
 from fractions import Fraction
@@ -320,9 +321,11 @@ class StirlingTable(namedtuple("StirlingTable", "entries")):
 # a kept series on their common leading coefficients is cut from its table,
 # which grows in place to a longer order or more powers; a cell held is never
 # rebuilt.  Tables of order or power above _KEPT_ROWS are not kept, and at
-# most four series are.
+# most four series are.  One lock holds the lookup, growth and cut, so
+# threads asking at once do not interleave their appends to a kept column.
 _KEPT_ROWS = 32
 _power_tables: list[tuple[list[LambdaPoly], list[list[LambdaPoly]]]] = []
+_power_lock = _thread.allocate_lock()
 
 
 def powers(g: TruncatedSeries, n: int) -> tuple[TruncatedSeries, ...]:
@@ -337,24 +340,25 @@ def powers(g: TruncatedSeries, n: int) -> tuple[TruncatedSeries, ...]:
         raise ValueError("n must be nonnegative")
     gs, top = g.coeffs, g.order + 1
     keep = max(g.order, n) <= _KEPT_ROWS
-    table = next((t for t in _power_tables if keep and tuple(t[0][:top]) == gs[: len(t[0])]), None)
-    if table is None:
-        table = ([], [[]])
-        if keep:
-            del _power_tables[:-3]
-            _power_tables.append(table)
-    base, cols = table
-    base.extend(gs[len(base) :])
-    cols[0].extend(ZERO if i else ONE for i in range(len(cols[0]), len(base)))
-    for k in range(1, max(n + 1, len(cols))):
-        if k == len(cols):
-            cols.append([])
-        prev, col = cols[k - 1], cols[k]
-        col.extend(
-            LambdaPoly.sum_of_products(zip(prev[: i + 1], base[i::-1]))
-            for i in range(len(col), len(base))
-        )
-    return tuple(TruncatedSeries(col[:top]) for col in cols[: n + 1])
+    with _power_lock:
+        table = next((t for t in _power_tables if keep and tuple(t[0][:top]) == gs[: len(t[0])]), None)
+        if table is None:
+            table = ([], [[]])
+            if keep:
+                del _power_tables[:-3]
+                _power_tables.append(table)
+        base, cols = table
+        base.extend(gs[len(base) :])
+        cols[0].extend(ZERO if i else ONE for i in range(len(cols[0]), len(base)))
+        for k in range(1, max(n + 1, len(cols))):
+            if k == len(cols):
+                cols.append([])
+            prev, col = cols[k - 1], cols[k]
+            col.extend(
+                LambdaPoly.sum_of_products(zip(prev[: i + 1], base[i::-1]))
+                for i in range(len(col), len(base))
+            )
+        return tuple(TruncatedSeries(col[:top]) for col in cols[: n + 1])
 
 
 def egf_power_triangle(g: TruncatedSeries, nmax: int) -> tuple[tuple[LambdaPoly, ...], ...]:

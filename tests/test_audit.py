@@ -190,6 +190,28 @@ def test_identity_suite_caps():
     assert caps["final_vs_closed_form"] == 24
     assert caps["ogf_egf_transforms"] == 20
     assert caps["derivation_operator_rows"] == 6
+    # every identity's cap, and the size it reads: the limit at 30/30, and 0
+    # where the size it reads is 0
+    limits = {
+        "stirling2_three_way": ("nmax", 15),
+        "classical_limits_at_lambda0": ("nmax", 20),
+        "bernoulli_euler_series_match": ("nmax", 20),
+        "bell_series_match": ("nmax", 12),
+        "stirling1_inversions": ("nmax", 18),
+        "final_vs_closed_form": ("nmax", 24),
+        "named_family_identification": ("nmax", 24),
+        "ogf_egf_transforms": ("order", 20),
+        "stirling2_shift_identity": ("nmax", 15),
+        "classical_table_degeneration": ("nmax", 12),
+        "exp_log_compositional_inverse": ("order", 24),
+        "derivation_operator_rows": ("order", 6),
+        "scalar_lane_matches_symbolic": ("nmax", 12),
+    }
+    assert caps == {name: limit for name, (_, limit) in limits.items()}
+    for nmax, order in ((30, 0), (0, 30)):
+        sizes = {"nmax": nmax, "order": order}
+        caps = {r.name: r.max_tested for r in run_identity_suite(nmax, order)}
+        assert caps == {name: limit if sizes[size] else 0 for name, (size, limit) in limits.items()}
 
 
 _SEED_IDENTITIES = (
@@ -313,7 +335,8 @@ def test_bell_series_is_exp_at_x_times_e_minus_1():
     # written, for each x the identity checks
     from degenums import audit
 
-    cap, pairs = audit._id_bell_series(30, 30)
+    pairs = audit._id_bell_series(12)
+    cap = len(pairs) // 3 - 1  # one pair per n <= cap for each x
     em1 = e_lambda_series(cap) - TruncatedSeries.constant(ONE, cap)
     exp_series = TruncatedSeries(F(1, math.factorial(k)) for k in range(cap + 1))
     expected = []

@@ -660,6 +660,24 @@ def test_module_invocation_subprocess():
     assert doc["payload"]["values"] == ["1", "-1/2", "1/2*L"]
 
 
+def test_closed_pipe_exits_141_with_nothing_on_stderr():
+    # as `degenums matrix B --rows 40 --format flat | head` does: the reader
+    # takes 100 bytes of about 1 MB and closes the pipe
+    src = str(Path(degenums.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "degenums", "matrix", "B", "--rows", "40", "--format", "flat"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+
+
 def test_cli_import_loads_no_unused_modules():
     # every CLI call is a fresh process, so start-up counts in its wall time;
     # the records are namedtuples, and dataclasses would load all of these

@@ -191,6 +191,32 @@ def test_power_tables_keep_orders_up_to_32_and_four_series(monkeypatch):
     assert [base[0] for base, _ in kept] == [LambdaPoly.constant(c) for c in (3, 4, 5, 6)]
 
 
+def test_power_table_grown_from_four_threads_holds_the_repeated_products(monkeypatch):
+    # four threads grow one kept table at once, with a thread switch possible
+    # every microsecond; a later order-30 request must still read only the
+    # repeated products, one cell per (power, coefficient)
+    import sys
+    import threading
+
+    from degenums import series as series_module
+
+    monkeypatch.setattr(series_module, "_power_tables", [])
+    em1 = e_lambda_series(30) - TruncatedSeries.constant(ONE, 30)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=powers, args=(em1.truncate(24), 24)) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    (_, cols), = series_module._power_tables
+    assert [len(col) for col in cols] == [25] * 25
+    assert powers(em1, 30) == _repeated_products(em1, 30)
+
+
 @settings(deadline=None, max_examples=80)
 @given(series, series)
 def test_mul_is_the_naive_convolution(f, g):
