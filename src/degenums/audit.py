@@ -376,9 +376,10 @@ def _id_stirling2_shift(cap: int) -> list[Pair]:
     e = e_lambda_series(cap)
     em1 = e - TruncatedSeries.constant(ONE, cap)
     s2 = stirling2_table(cap + 1)
+    rows = powers(em1)
     pairs: list[Pair] = []
-    for k, power in enumerate(powers(em1, cap)):
-        lhs_series = e * power
+    for k in range(cap + 1):
+        lhs_series = e * TruncatedSeries([ZERO] * k + [row[k] for row in rows[k:]])
         for n in range(k, cap + 1):
             lhs = lhs_series.coeff(n).scale(
                 Fraction(math.factorial(n), math.factorial(k))

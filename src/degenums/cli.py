@@ -14,9 +14,10 @@ value directly.
 Sizes are bounded: ``numbers --nmax`` and ``matrix --rows`` in 0..200,
 ``verify --nmax`` and ``--order`` in 0..30, custom seed degrees in L to 200.
 
-Exit statuses: 0 success, 1 verification failure, 2 usage or input error,
-141 when the reader closes stdout early (128 + SIGPIPE), with nothing on
-stderr.
+Exit statuses: 0 success, 1 verification failure, 2 usage or input error
+or output that cannot be written (a closed stdout, a full device), with one
+``error:`` line on stderr, and 141 when the reader closes stdout early
+(128 + SIGPIPE), with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -71,7 +72,11 @@ class OutputRecord(namedtuple("OutputRecord", "kind payload")):
 
 def _lambda_arg(text: str) -> Fraction:
     try:
-        return parse_rat(text)
+        q = parse_rat(text)
+        if max(abs(q.numerator), q.denominator) >= 10**10:
+            # 20-digit ones take the numbers at --nmax 200 past int-to-text's 4300 digits
+            raise ValueError(f"P and Q must have at most 10 digits: {text!r}")
+        return q
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -103,10 +108,12 @@ def _load_custom_seed(path: str, count: int) -> SequenceSpec:
                 if not line.strip():
                     continue
                 try:
-                    # the degree is read off the text, before parse allocates that many
+                    # the degree and digits are read off the text, before parse allocates them
                     degrees = _POWERS.findall(line)
                     if any(len(d) > 3 or int(d) > MATRIX_ROWS_CEILING for d in degrees):
                         raise ValueError(f"degree in L must be at most {MATRIX_ROWS_CEILING}")
+                    if re.search(r"\d{11}", line):
+                        raise ValueError("numerators and denominators must have at most 10 digits")
                     values.append(LambdaPoly.parse(line))
                 except ValueError as exc:
                     raise ValueError(f"custom seed file {path!r}, line {lineno}: {exc}") from None
@@ -343,10 +350,11 @@ def main(argv: list[str] | None = None) -> int:
             record, failed = _cmd_verify(args)
         else:
             record = _cmd_audit(args)
+        (to_structured if args.format == "structured" else to_flat)(record, sys.stdout)
     except ValueError as exc:
+        # input errors come before any output; a write can pass int-to-text's limit
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    (to_structured if args.format == "structured" else to_flat)(record, sys.stdout)
     if failed:
         print(f"verification failed: {', '.join(failed)}", file=sys.stderr)
         status = 1
@@ -355,10 +363,16 @@ def main(argv: list[str] | None = None) -> int:
 
 def console_main() -> None:
     try:
+        if sys.stdout is None:
+            raise OSError("stdout is closed")
         status = main()
         sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader closed the pipe: a quiet shutdown flush, SIGPIPE's status
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        status = 141
+    except OSError as exc:
+        # a closed pipe is SIGPIPE's quiet status, any other failed write an
+        # output error; what is still buffered goes to os.devnull
+        if sys.stdout is not None:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 141 if isinstance(exc, BrokenPipeError) else 2
+        if status == 2 and sys.stderr is not None:
+            print(f"error: cannot write the output: {exc}", file=sys.stderr)
     sys.exit(status)

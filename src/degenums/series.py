@@ -128,18 +128,12 @@ class TruncatedSeries:
         )
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
-        """Substitute ``inner`` for t as sum_k f_k inner^k over the power table;
-        ``inner`` must have a zero constant term."""
-        if not inner.coeff(0).is_zero:
-            raise ValueError("composition requires a zero constant term in the inner series")
+        """Substitute ``inner`` for t: coefficient n is sum_k f_k [t^n] inner^k,
+        one row of the power triangle; ``inner`` must have a zero constant term."""
         order = min(self.order, inner.order)
-        table = powers(inner.truncate(order), order)
-        # inner^k has no terms below t^k, so coefficient n needs k <= n only
         return TruncatedSeries(
-            LambdaPoly.sum_of_products(
-                (f_k, power._coeffs[n]) for f_k, power in zip(self._coeffs[: n + 1], table)
-            )
-            for n in range(order + 1)
+            LambdaPoly.sum_of_products(zip(self._coeffs, row))
+            for row in powers(inner.truncate(order))
         )
 
     def reciprocal(self) -> "TruncatedSeries":
@@ -315,71 +309,61 @@ class StirlingTable(namedtuple("StirlingTable", "entries")):
         return out
 
 
-# The power table of each series asked for so far, as (coefficients of g,
-# columns), columns[k][n] = [t^n] g^k, so that the compositions through
-# e_L(t) - 1 and log_L(1+t) read one table each.  A request that agrees with
-# a kept series on their common leading coefficients is cut from its table,
-# which grows in place to a longer order or more powers; a cell held is never
-# rebuilt.  Tables of order or power above _KEPT_ROWS are not kept, and at
+# The power triangle of each series asked for so far, as (coefficients of g,
+# rows), rows[n][k] = [t^n] g^k for k <= n, so that the compositions through
+# e_L(t) - 1 and log_L(1+t) read one triangle each.  A request that agrees
+# with a kept series on their common leading coefficients is cut from its
+# triangle, which grows by appending rows to a longer order; a row held is
+# never rebuilt.  Triangles of order above _KEPT_ROWS are not kept, and at
 # most four series are.  One lock holds the lookup, growth and cut, so
-# threads asking at once do not interleave their appends to a kept column.
+# threads asking at once do not interleave their appends to a kept triangle.
 _KEPT_ROWS = 32
-_power_tables: list[tuple[list[LambdaPoly], list[list[LambdaPoly]]]] = []
+_power_tables: list[tuple[list[LambdaPoly], list[tuple[LambdaPoly, ...]]]] = []
 _power_lock = _thread.allocate_lock()
 
 
-def powers(g: TruncatedSeries, n: int) -> tuple[TruncatedSeries, ...]:
-    """The power table (g^0, g^1, ..., g^n), each at the order of g.
+def powers(g: TruncatedSeries) -> tuple[tuple[LambdaPoly, ...], ...]:
+    """The power triangle rows[n][k] = [t^n] g^k for 0 <= k <= n <= g.order;
+    g must have a zero constant term, so g^k has no terms below t^k.
 
-    Cut from the kept table of the series that agrees with g on its leading
-    coefficients, grown first where g asks for a longer order or more powers,
-    so the identity suite builds each cell of a table once however many
-    compositions read it.  Each cell is one ``sum_of_products``, as in a
-    series product."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    Cut from the kept triangle of the series that agrees with g on its
+    leading coefficients, grown first where g asks for a longer order, so the
+    identity suite builds each cell once however many compositions read it.
+    Each cell below row 0 and right of column 0 is one ``sum_of_products``,
+    [t^n] g^k = sum_j g_j [t^(n-j)] g^(k-1)."""
     gs, top = g.coeffs, g.order + 1
-    keep = max(g.order, n) <= _KEPT_ROWS
+    if not gs[0].is_zero:
+        raise ValueError("a power triangle requires a zero constant term")
+    keep = g.order <= _KEPT_ROWS
     with _power_lock:
         table = next((t for t in _power_tables if keep and tuple(t[0][:top]) == gs[: len(t[0])]), None)
         if table is None:
-            table = ([], [[]])
+            table = ([], [(ONE,)])
             if keep:
                 del _power_tables[:-3]
                 _power_tables.append(table)
-        base, cols = table
+        base, rows = table
         base.extend(gs[len(base) :])
-        cols[0].extend(ZERO if i else ONE for i in range(len(cols[0]), len(base)))
-        for k in range(1, max(n + 1, len(cols))):
-            if k == len(cols):
-                cols.append([])
-            prev, col = cols[k - 1], cols[k]
-            col.extend(
-                LambdaPoly.sum_of_products(zip(prev[: i + 1], base[i::-1]))
-                for i in range(len(col), len(base))
-            )
-        return tuple(TruncatedSeries(col[:top]) for col in cols[: n + 1])
+        for n in range(len(rows), top):
+            rows.append((ZERO,) + tuple(
+                LambdaPoly.sum_of_products(
+                    (base[j], rows[n - j][k - 1]) for j in range(1, n - k + 2)
+                )
+                for k in range(1, n + 1)
+            ))
+        return tuple(rows[:top])
 
 
 def egf_power_triangle(g: TruncatedSeries, nmax: int) -> tuple[tuple[LambdaPoly, ...], ...]:
-    """Triangle t[n][k] = n! [t^n] g^k / k! for 0 <= k <= n <= nmax.
-
-    g must have a zero constant term so that g^k contributes nothing below
-    t^k and the triangle is exact.
-    """
+    """Triangle t[n][k] = n! [t^n] g^k / k! for 0 <= k <= n <= nmax, each row
+    of the power triangle scaled; g must have a zero constant term."""
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
-    if not g.coeff(0).is_zero:
-        raise ValueError("triangle extraction requires a zero constant term")
     if g.order < nmax:
         raise ValueError(f"need a series of order >= {nmax}")
-    cols = [power.coeffs for power in powers(g.truncate(nmax), nmax)]
     return tuple(
-        tuple(
-            cols[k][n].scale(Fraction(math.factorial(n), math.factorial(k)))
-            for k in range(n + 1)
-        )
-        for n in range(nmax + 1)
+        tuple(c.scale(Fraction(math.factorial(n), math.factorial(k))) for k, c in enumerate(row))
+        for n, row in enumerate(powers(g.truncate(nmax)))
     )
 
 

@@ -272,22 +272,23 @@ def test_identity_suite_builds_each_stirling_row_once(monkeypatch):
 
 
 def test_identity_suite_builds_each_power_table_once(monkeypatch):
-    # every power table the suite reads, through both names series.powers is
-    # called by, is cut from the kept tables of e_L(t) - 1 and log_L(1+t),
-    # each at order 24 with 25 powers.  Each (base, power, coefficient) cell
-    # is one sum_of_products while powers runs: the suite computes 1200, as
-    # many as the two tables hold, so none is computed twice.  Nine distinct
-    # tables of 3090 cells were built when each was kept under its own value.
+    # every power triangle the suite reads, through both names series.powers
+    # is called by, is cut from the kept triangles of e_L(t) - 1 and
+    # log_L(1+t), each at order 24 with rows of lengths 1..25.  Each cell
+    # below row 0 and right of column 0 is one sum_of_products while powers
+    # runs: the suite computes 600, as many as the two triangles hold, so none
+    # is computed twice.  Full columns g^0..g^24 would hold 1200 cells, half
+    # of them above the diagonal, where every cell is zero.
     from degenums import audit, series
 
     requests, cells, inside = [], [], []
     real_powers, real_products = series.powers, LambdaPoly.sum_of_products
 
-    def recording(g, n):
-        requests.append((g, n))
+    def recording(g):
+        requests.append(g)
         inside.append(True)
         try:
-            return real_powers(g, n)
+            return real_powers(g)
         finally:
             inside.pop()
 
@@ -304,15 +305,17 @@ def test_identity_suite_builds_each_power_table_once(monkeypatch):
     em1 = e_lambda_series(24) - TruncatedSeries.constant(ONE, 24)
     bases = [TruncatedSeries(base) for base, _ in series._power_tables]
     assert bases == [em1, log_lambda_series(24)]
-    assert [[len(col) for col in cols] for _, cols in series._power_tables] == [[25] * 25] * 2
-    assert len(cells) == 2 * 24 * 25 == 1200
+    assert [[len(row) for row in rows] for _, rows in series._power_tables] == [
+        list(range(1, 26))
+    ] * 2
+    assert len(cells) == 2 * (24 * 25 // 2) == 600
     assert len(requests) > 2
-    assert all(any(g == b.truncate(g.order) for b in bases) for g, _ in requests)
+    assert all(any(g == b.truncate(g.order) for b in bases) for g in requests)
 
 
 def test_kept_power_table_with_a_wrong_cell_fails_every_reader(monkeypatch):
-    # the t^5 coefficient of (e_L(t) - 1)^2 in the kept table off by L: the
-    # table is built once and kept, and every identity that reads it fails
+    # the t^5 coefficient of (e_L(t) - 1)^2 in the kept triangle off by L: the
+    # triangle is built once and kept, and every identity that reads it fails
     from degenums import series
 
     readers = [
@@ -324,9 +327,10 @@ def test_kept_power_table_with_a_wrong_cell_fails_every_reader(monkeypatch):
     ]
     monkeypatch.setattr(series, "_power_tables", [])
     assert all(r.passed for r in run_identity_suite(8, 8))
-    (base, cols), _ = series._power_tables
+    (base, rows), _ = series._power_tables
     assert TruncatedSeries(base) == e_lambda_series(8) - TruncatedSeries.constant(ONE, 8)
-    cols[2][5] = cols[2][5] + LAM
+    row = rows[5]
+    rows[5] = row[:2] + (row[2] + LAM,) + row[3:]
     assert [r.name for r in run_identity_suite(8, 8) if not r.passed] == readers
 
 

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -22,7 +23,10 @@ F = Fraction
 
 
 def run_cli(capsys, *argv):
-    status = main(list(argv))
+    try:
+        status = main(list(argv))
+    except SystemExit as exc:  # argparse's own usage errors
+        status = exc.code
     captured = capsys.readouterr()
     return status, captured.out, captured.err
 
@@ -632,6 +636,10 @@ def test_output_is_written_row_by_row(fmt):
         (["verify", "--nmax", "-1"], None, "--nmax must be nonnegative"),
         (["verify", "--order", "-1"], None, "--order must be nonnegative"),
         (["matrix", "B", "--seed", "custom", "--rows", "0"], "\n  \n", "contains no seed entries"),
+        (["numbers", "bell", "--nmax", "20", "--lambda=1/" + "7" * 400], None, "at most 10 digits"),
+        (["matrix", "A", "--rows", "1", "--lambda=-12345678901"], None, "at most 10 digits"),
+        (["matrix", "A", "--seed", "custom", "--rows", "1"], "-12345678901\n1\n", "line 1: numerators"),
+        (["matrix", "A", "--seed", "custom", "--rows", "1"], "1\n1/12345678901*L\n", "10 digits"),
     ],
 )
 def test_input_errors_exit_2_before_any_output(argv, seed_text, message, fmt, tmp_path, capsys):
@@ -640,6 +648,39 @@ def test_input_errors_exit_2_before_any_output(argv, seed_text, message, fmt, tm
     status, out, err = run_cli(capsys, *argv, "--format", fmt)
     assert (status, out) == (2, "")
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["numbers", "bernoulli", "--nmax", "200", "--lambda=9999999999"],
+        ["matrix", "A", "--seed", "bell", "--rows", "200", "--lambda=-9999999967/9999999943"],
+    ],
+)
+def test_lambda_at_the_digit_bound_renders_at_the_200_ceilings(argv, capsys):
+    # the longest integers found over every numbers and matrix output at the
+    # 200 ceilings with 10-digit P and Q (2375 and 2376 digits), well under
+    # the 4300 digits that int-to-text conversion takes
+    status, out, err = run_cli(capsys, *argv, "--format", "flat")
+    assert (status, err) == (0, "")
+    assert 2300 < max(map(len, re.findall(r"\d+", out))) < 4300
+
+
+def test_a_value_past_the_int_to_text_limit_exits_2_with_one_error_line(capsys):
+    # with the interpreter's limit at its 640-digit minimum, the numbers at a
+    # 10-digit L are too long to write: the output stops part way, status 2
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no limit on int-to-text conversion")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        argv = ["numbers", "bernoulli", "--nmax", "200", "--lambda=9999999999", "--format", "flat"]
+        status, out, err = run_cli(capsys, *argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert status == 2 and out.startswith("0\t1\n")
+    (line,) = err.splitlines()
+    assert line.startswith("error: Exceeds the limit (640 digits)")
 
 
 # -- console entry point ---------------------------------------------------------------
@@ -676,6 +717,35 @@ def test_closed_pipe_exits_141_with_nothing_on_stderr():
     assert proc.stderr.read() == b""
     proc.stderr.close()
     assert proc.wait(timeout=60) == 141
+
+
+def _console(argv, **streams):
+    # the console script, run as a child with the given standard streams
+    src = str(Path(degenums.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(argv, env=env, stderr=subprocess.PIPE, timeout=60, **streams)
+
+
+def test_closed_stdout_exits_2_with_one_error_line():
+    # as `degenums numbers bernoulli --nmax 3 >&-` does: Python starts with
+    # sys.stdout None
+    script = 'exec "$0" -m degenums numbers bernoulli --nmax 3 >&-'
+    proc = _console(["sh", "-c", script, sys.executable])
+    assert proc.returncode == 2
+    assert proc.stderr.decode().splitlines() == ["error: cannot write the output: stdout is closed"]
+
+
+def test_full_device_on_stdout_exits_2_with_one_error_line():
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    with open("/dev/full", "wb") as full:
+        proc = _console(
+            [sys.executable, "-m", "degenums", "matrix", "B", "--rows", "40"], stdout=full
+        )
+    assert proc.returncode == 2
+    (line,) = proc.stderr.decode().splitlines()
+    assert line.startswith("error: cannot write the output: ") and "No space left" in line
 
 
 def test_cli_import_loads_no_unused_modules():

@@ -127,32 +127,31 @@ def test_compose_with_scaled_variable(f, c):
     assert f.compose(ct).coeffs == tuple(expected)
 
 
-def _repeated_products(g, n):
-    product, table = TruncatedSeries.constant(ONE, g.order), []
-    for _ in range(n + 1):
-        table.append(product)
+def _repeated_products(g):
+    # the power triangle read off g^0, g^1, ..., g^order, each a series product
+    product, columns = TruncatedSeries.constant(ONE, g.order), []
+    for _ in range(g.order + 1):
+        columns.append(product.coeffs)
         product = product * g
-    return tuple(table)
-
-
-sizes = st.tuples(st.integers(0, 8), st.integers(0, 8))
+    return tuple(tuple(col[n] for col in columns[: n + 1]) for n in range(g.order + 1))
 
 
 @settings(deadline=None, max_examples=60)
-@given(series_of(8), st.lists(sizes, min_size=1, max_size=6))
+@given(series_of(8, zero_constant=True), st.lists(st.integers(0, 8), min_size=1, max_size=6))
 def test_powers_are_repeated_products(g, requests):
-    # requests for one series in any sequence of truncations, longer orders
-    # and more powers: each table is the repeated products, and the kept
-    # table grows one product cell at a time, each computed once, to the
-    # largest order and power count asked for.  A request with an equal
-    # series built from new objects computes no cell.
+    # requests for one series in any sequence of truncations and longer
+    # orders: each triangle is the repeated products, and the kept triangle
+    # grows one product cell at a time, each computed once, to the largest
+    # order asked for.  A request with an equal series built from new objects
+    # computes no cell.
     from degenums import series as series_module
 
-    expected = [_repeated_products(g.truncate(m), n) for m, n in requests]
-    top, most = max(m for m, _ in requests), max(n for _, n in requests)
-    widest = _repeated_products(g.truncate(top), most)
+    expected = [_repeated_products(g.truncate(m)) for m in requests]
+    top = max(requests)
+    widest = _repeated_products(g.truncate(top))
     twin = TruncatedSeries([LambdaPoly.parse(c.render()) for c in g.coeffs])
-    assert twin is not g and all(a is not b for a, b in zip(twin.coeffs, g.coeffs))
+    # past the shared ZERO constant, no coefficient object is g's
+    assert twin is not g and all(a is not b for a, b in zip(twin.coeffs[1:], g.coeffs[1:]))
     products = []
     real = LambdaPoly.sum_of_products
 
@@ -163,12 +162,13 @@ def test_powers_are_repeated_products(g, requests):
     with pytest.MonkeyPatch.context() as patched:
         patched.setattr(series_module, "_power_tables", [])
         patched.setattr(LambdaPoly, "sum_of_products", classmethod(counting))
-        for (m, n), table in zip(requests, expected):
-            got = powers(g.truncate(m), n)
-            assert type(got) is tuple and got == table
-        assert len(products) == most * (top + 1)
-        assert powers(twin.truncate(top), most) == widest
-        assert len(products) == most * (top + 1)
+        for m, rows in zip(requests, expected):
+            got = powers(g.truncate(m))
+            assert type(got) is tuple and all(type(row) is tuple for row in got)
+            assert got == rows
+        assert len(products) == top * (top + 1) // 2
+        assert powers(twin.truncate(top)) == widest
+        assert len(products) == top * (top + 1) // 2
         assert len(series_module._power_tables) == 1
 
 
@@ -178,23 +178,22 @@ def test_power_tables_keep_orders_up_to_32_and_four_series(monkeypatch):
     kept = []
     monkeypatch.setattr(series_module, "_power_tables", kept)
     long = TruncatedSeries([ZERO, ONE, LAM] + [ONE] * 31)  # order 33
-    assert powers(long, 2) == _repeated_products(long, 2)
-    assert powers(long.truncate(3), 33) == _repeated_products(long.truncate(3), 33)
+    assert powers(long) == _repeated_products(long)
     assert kept == []
-    assert powers(long.truncate(32), 32)[32].coeffs == (ZERO,) * 32 + (ONE,)
+    assert powers(long.truncate(32))[32][32] == ONE
     assert len(kept) == 1
     for c in range(1, 7):
-        g = TruncatedSeries([c, LAM, ONE])
-        assert powers(g, 3) == _repeated_products(g, 3)
+        g = TruncatedSeries([ZERO, LAM, LambdaPoly.constant(c)])
+        assert powers(g) == _repeated_products(g)
         assert len(kept) == min(c + 1, 4)
     # the oldest series goes first
-    assert [base[0] for base, _ in kept] == [LambdaPoly.constant(c) for c in (3, 4, 5, 6)]
+    assert [base[2] for base, _ in kept] == [LambdaPoly.constant(c) for c in (3, 4, 5, 6)]
 
 
 def test_power_table_grown_from_four_threads_holds_the_repeated_products(monkeypatch):
-    # four threads grow one kept table at once, with a thread switch possible
-    # every microsecond; a later order-30 request must still read only the
-    # repeated products, one cell per (power, coefficient)
+    # four threads grow one kept triangle at once, with a thread switch
+    # possible every microsecond; a later order-30 request must still read
+    # only the repeated products, one row per order
     import sys
     import threading
 
@@ -205,16 +204,57 @@ def test_power_table_grown_from_four_threads_holds_the_repeated_products(monkeyp
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=powers, args=(em1.truncate(24), 24)) for _ in range(4)]
+        threads = [threading.Thread(target=powers, args=(em1.truncate(24),)) for _ in range(4)]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join()
     finally:
         sys.setswitchinterval(interval)
-    (_, cols), = series_module._power_tables
-    assert [len(col) for col in cols] == [25] * 25
-    assert powers(em1, 30) == _repeated_products(em1, 30)
+    (_, rows), = series_module._power_tables
+    assert [len(row) for row in rows] == list(range(1, 26))
+    assert powers(em1) == _repeated_products(em1)
+
+
+def test_powers_and_compose_match_sympy():
+    # an oracle outside the package: sympy's own polynomial arithmetic in t
+    # and L expands G(t)^k and f(G(t))
+    sympy = pytest.importorskip("sympy")
+    L, t = sympy.symbols("L t")
+
+    def to_sympy(s):
+        return sympy.Poly(
+            sum(
+                sympy.Rational(c.numerator, c.denominator) * L**j * t**i
+                for i, p in enumerate(s.coeffs)
+                for j, c in enumerate(p.coeffs)
+            ),
+            t,
+            L,
+            domain="QQ",
+        )
+
+    def cell(poly, n):
+        # the coefficient of t^n as a LambdaPoly, read off each t^n L^j
+        top = max(poly.degree(L), 0)
+        return LambdaPoly(F(str(poly.coeff_monomial(t**n * L**j))) for j in range(top + 1))
+
+    @settings(deadline=None, max_examples=40)
+    @given(series, inner_series)
+    def check(f, g):
+        rows, big_g = powers(g), to_sympy(g)
+        assert [len(row) for row in rows] == list(range(1, g.order + 2))
+        for k in range(g.order + 1):
+            power = big_g**k
+            assert [row[k] for row in rows[k:]] == [cell(power, n) for n in range(k, g.order + 1)]
+        composed = sum(
+            (to_sympy(TruncatedSeries([c])) * big_g**k for k, c in enumerate(f.coeffs)),
+            sympy.Poly(0, t, L, domain="QQ"),
+        )
+        order = min(f.order, g.order)
+        assert f.compose(g).coeffs == tuple(cell(composed, n) for n in range(order + 1))
+
+    check()
 
 
 @settings(deadline=None, max_examples=80)
@@ -236,9 +276,11 @@ def test_mul_is_associative(f, g, h):
     assert (f * g) * h == f * (g * h)
 
 
-def test_powers_rejects_negative_count():
-    with pytest.raises(ValueError):
-        powers(TruncatedSeries([0, 1]), -1)
+def test_powers_rejects_nonzero_constant_term():
+    with pytest.raises(ValueError, match="zero constant term"):
+        powers(TruncatedSeries([1, 1]))
+    with pytest.raises(ValueError, match="zero constant term"):
+        powers(TruncatedSeries([LAM]))
 
 
 @settings(deadline=None, max_examples=40)
