@@ -350,9 +350,17 @@ def main(argv: list[str] | None = None) -> int:
             record, failed = _cmd_verify(args)
         else:
             record = _cmd_audit(args)
-        (to_structured if args.format == "structured" else to_flat)(record, sys.stdout)
+        # the inputs bound every output: none stops part way at int-to-text's limit
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            (to_structured if args.format == "structured" else to_flat)(record, sys.stdout)
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
     except ValueError as exc:
-        # input errors come before any output; a write can pass int-to-text's limit
+        # input errors come before any output
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if failed:

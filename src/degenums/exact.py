@@ -331,11 +331,11 @@ LAM = LambdaPoly((0, 1))
 # Fraction at which L is evaluated).  ``Value`` is an element of either.
 # Both share +, - and *, and multiplying by an int or a Fraction is scaling
 # in either.  ``check_lam`` and ``ring_one`` below name the ring that ``lam``
-# picks, and five more places branch on it: by ``lam is LAM``,
-# ``times_linear_add`` (its two kernels), ``StirlingTable.nested_sums``
-# (Horner's rule or the weights multiplied out), ``SequenceSpec.values``
-# (custom entries evaluated at a rational) and ``build_table`` (only runs
-# over L are kept); by the type of its entries, ``StirlingTable.weighted_sums``.
+# picks, and more places branch on it: by ``lam is LAM``, ``times_linear_add``
+# (its kernels), the Stirling rows of ``numbers`` (integers at a rational),
+# ``StirlingTable.nested_sums`` (Horner's rule or the weights multiplied out),
+# ``SequenceSpec.values`` (custom entries evaluated at a rational) and
+# ``build_table`` (only runs over L are kept); by entry type, ``weighted_sums``.
 Value = LambdaPoly | Scalar
 
 
@@ -358,12 +358,14 @@ def ring_one(lam: Value) -> Value:
 
 
 def times_linear_add(x: Value, a: int, b: int, y: Value, c: Scalar, lam: Value) -> Value:
-    """x * (a + b lam) + c y for integers a and b and a rational c, by
-    ``LambdaPoly.mul_linear_add`` when lam is LAM itself.  At a rational
-    lam = p/q it is one Fraction over the integers, reduced once: with
-    g = gcd(xd, yd), xn (aq + bp) (yd/g) cd + cn q yn (xd/g) over q xd (yd/g) cd."""
+    """x * (a + b lam) + c y for integers a and b and a rational c: by
+    ``LambdaPoly.mul_linear_add`` when lam is LAM itself, in plain ints when
+    x, y, c and lam are ints, else at lam = p/q as one Fraction reduced once:
+    with g = gcd(xd, yd), xn (aq + bp) (yd/g) cd + cn q yn (xd/g) over q xd (yd/g) cd."""
     if lam is LAM:
         return x.mul_linear_add(a, b, y, c)
+    if int is type(lam) is type(x) is type(y) is type(c):
+        return x * (a + b * lam) + c * y
     if not isinstance(c, (int, Fraction)):
         raise TypeError(f"times_linear_add takes an int or a Fraction, not {type(c).__name__}")
     check_lam(lam, "times_linear_add")

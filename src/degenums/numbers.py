@@ -7,24 +7,25 @@ classical oracles at the bottom of this module compute those independently
 (plain Fractions and integers, none of the L machinery) so the limits can
 be cross-checked.
 
-Both Stirling triangles come from one row recurrence.  The Bernoulli and
-Euler numbers are computed from closed weighted sums over the second-kind
-Stirling triangle; the polynomial values at x come from the binomial
-convolution with degenerate falling factorials of x.  The Bernoulli weights
-and the falling factorials are products of linear factors in L, so those
-sums go through ``StirlingTable.nested_sums``: by Horner's rule over
-polynomials in L, multiplied out at a rational L.  Each family takes L as
-``lam``: LAM (the default) gives polynomials in L, a Fraction gives the same
-numbers at that value, from the same code.
+Both Stirling triangles come from one row recurrence, whose rows at a
+rational L = p/q hold the integers q^(n-k) S(n, k).  The Bernoulli, Euler
+and Bell numbers are closed weighted sums over the second-kind triangle, at
+L = p/q one integer dot product per scaled row; the polynomial values at x
+come from the binomial convolution with degenerate falling factorials of x.
+The Bernoulli weights and the falling factorials are products of linear
+factors in L, so over polynomials in L those sums run by Horner's rule
+(``StirlingTable.nested_sums``).  Each family takes L as ``lam``: LAM (the
+default) gives polynomials in L, a Fraction the same numbers at that value.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
-from typing import Callable
+from itertools import count, repeat
 
-from .exact import LAM, Scalar, Value, as_fraction, ring_one, times_linear_add
+from .exact import LAM, Scalar, Value, as_fraction, linear_products, ring_one, times_linear_add
 from .series import _KEPT_ROWS, StirlingTable
 
 __all__ = [
@@ -42,26 +43,59 @@ __all__ = [
 ]
 
 
-# The rows of each small triangle built so far, keyed by the value of L, so
-# that the identity suite builds each row once however many families read
-# it.  Triangles of more than _KEPT_ROWS rows (the CLI's) are not kept: they
-# are built once per run, and keeping them would hold memory for the rest of
-# it.  At most four values of L are kept.
+# The rows of each small second-kind triangle built so far (integers at a
+# rational L), keyed by the value of L, so that the identity suite builds each
+# row once however many families read it.  Triangles of more than _KEPT_ROWS
+# rows (the CLI's) are not kept: they are built once per run, and keeping them
+# would hold memory for the rest of it.  At most four values of L are kept.
 _stirling2_rows: dict[Value, list[tuple]] = {}
 
 
-def _stirling_rows(rows: list[tuple], nmax: int, cell: Callable) -> list[tuple]:
-    # Extend a Stirling triangle to row nmax by next(k) = cell(prev(k), k, n,
-    # prev(k-1)), where cell multiplies prev(k) by the kind's linear factor of
-    # row n, column k and adds prev(k-1) (zero left of column 0).
-    zero = rows[0][0] * 0
-    for n in range(len(rows) - 1, nmax):
+def _stirling_rows(nmax: int, lam: Value, first: bool = False) -> list[tuple]:
+    # Rows 0..nmax of the second (or first) kind's triangle: entry (n, k) has
+    # degree n - k in L and integer coefficients, so at L = p/q the rows hold
+    # the integers q^(n-k) S(n, k), and the factor k - nL (or kL - n) of each
+    # cell becomes kq - np (or kp - nq); over L, p is LAM and q is 1.
+    if nmax < 0:
+        raise ValueError("nmax must be nonnegative")
+    one = ring_one(lam)
+    p, q = (LAM, 1) if lam is LAM else (lam.numerator, lam.denominator)
+    store = {} if first else _stirling2_rows
+    rows = list(store.get(lam, [(one if lam is LAM else 1,)]))
+    kept, zero, ones, ps = len(rows), rows[0][0] * 0, repeat(1), repeat(p)
+    for n in range(kept - 1, nmax):
+        a, b = (repeat(-n * q), count()) if first else (count(0, q), repeat(-n))
         prev = rows[-1]
-        rows.append(
-            tuple(cell(prev[k], k, n, prev[k - 1] if k else zero) for k in range(n + 1))
-            + (prev[n],)
-        )
-    return rows
+        rows.append((*map(times_linear_add, prev, a, b, (zero,) + prev, ones, ps), prev[n]))
+    if kept < len(rows) <= _KEPT_ROWS:
+        if lam not in store and len(store) >= 4:
+            store.clear()
+        store[lam] = rows
+    return rows[: nmax + 1]
+
+
+def _table(rows: list[tuple], lam: Value) -> StirlingTable:
+    # The table of S(n, k) = rows[n][k] / q^(n-k), each rational cell reduced once.
+    if lam is not LAM:
+        qs = [lam.denominator**j for j in range(len(rows))]
+        rows = [tuple(map(Fraction, row, qs[n::-1])) for n, row in enumerate(rows)]
+    return StirlingTable(tuple(rows))
+
+
+def _stirling2_sums(nmax: int, lam: Value, heads: list, nested: tuple = ()) -> list[Value]:
+    # [sum_k S(n, k) w_k for n = 0..nmax], w_k = heads[k] or, for nested =
+    # (start, step), nested_sums' weights; at L = p/q, q^k w_k is heads[k] times
+    # the integer prod_{j<k} q f_j, so each scaled row is one integer dot product
+    # over the weights' common denominator d, reduced once into a Fraction by d q^n.
+    if lam is LAM:
+        table = stirling2_table(nmax)
+        return table.nested_sums(heads, *nested) if nested else table.weighted_sums(heads)
+    rows = _stirling_rows(nmax, lam)
+    ((a, b), (da, db)), p, q = nested or ((1, 0), (0, 0)), lam.numerator, lam.denominator
+    ws = [h * f for h, f in zip(heads, linear_products(a * q + b * p, da * q + db * p, nmax))]
+    d = math.lcm(*(w.denominator for w in ws))
+    ws = [w.numerator * (d // w.denominator) for w in ws]
+    return [Fraction(sum(map(operator.mul, row, ws)), d * q**n) for n, row in enumerate(rows)]
 
 
 def stirling2_table(nmax: int, lam: Value = LAM) -> StirlingTable:
@@ -71,17 +105,7 @@ def stirling2_table(nmax: int, lam: Value = LAM) -> StirlingTable:
 
     as polynomials in L (lam = LAM) or as rationals at L = lam.
     """
-    if nmax < 0:
-        raise ValueError("nmax must be nonnegative")
-    kept = _stirling2_rows.get(lam, [(ring_one(lam),)])
-    rows = _stirling_rows(
-        list(kept), nmax, lambda x, k, n, left: times_linear_add(x, k, -n, left, 1, lam)
-    )
-    if len(kept) < len(rows) <= _KEPT_ROWS:
-        if lam not in _stirling2_rows and len(_stirling2_rows) >= 4:
-            _stirling2_rows.clear()
-        _stirling2_rows[lam] = rows
-    return StirlingTable(tuple(rows[: nmax + 1]))
+    return _table(_stirling_rows(nmax, lam), lam)
 
 
 def stirling1_table(nmax: int, lam: Value = LAM) -> StirlingTable:
@@ -93,27 +117,22 @@ def stirling1_table(nmax: int, lam: Value = LAM) -> StirlingTable:
     as polynomials in L (lam = LAM) or as rationals at L = lam.  No rows are
     kept.
     """
-    if nmax < 0:
-        raise ValueError("nmax must be nonnegative")
-    rows = _stirling_rows(
-        [(ring_one(lam),)], nmax, lambda x, k, n, left: times_linear_add(x, -n, k, left, 1, lam)
-    )
-    return StirlingTable(tuple(rows))
+    return _table(_stirling_rows(nmax, lam, first=True), lam)
 
 
 def bernoulli_deg_sequence(nmax: int, lam: Value = LAM) -> list[Value]:
     """Degenerate Bernoulli numbers for n = 0..nmax: weight k is
     (-1)^k (1-L)(2-L)...(k-L) / (k+1), nested as heads (-1)^k/(k+1) and
     factors (k+1) - L."""
-    return stirling2_table(nmax, lam).nested_sums(
-        [Fraction((-1) ** k, k + 1) for k in range(nmax + 1)], (1, -1), (1, 0), lam
+    return _stirling2_sums(
+        nmax, lam, [Fraction((-1) ** k, k + 1) for k in range(nmax + 1)], ((1, -1), (1, 0))
     )
 
 
 def euler_deg_sequence(nmax: int, lam: Value = LAM) -> list[Value]:
     """Degenerate Euler numbers for n = 0..nmax."""
-    return stirling2_table(nmax, lam).weighted_sums(
-        [Fraction((-1) ** k * math.factorial(k), 2**k) for k in range(nmax + 1)]
+    return _stirling2_sums(
+        nmax, lam, [Fraction((-1) ** k * math.factorial(k), 2**k) for k in range(nmax + 1)]
     )
 
 
@@ -121,7 +140,7 @@ def bell_deg_sequence(nmax: int, x: Scalar = 1, lam: Value = LAM) -> list[Value]
     """Degenerate Bell polynomial values at x for n = 0..nmax (x = 1 gives
     the degenerate Bell numbers)."""
     x = as_fraction(x, "bell_deg_sequence")
-    return stirling2_table(nmax, lam).weighted_sums([x**k for k in range(nmax + 1)])
+    return _stirling2_sums(nmax, lam, [x**k for k in range(nmax + 1)])
 
 
 def _convolve_at(base: list[Value], x: Fraction, lam: Value) -> list[Value]:

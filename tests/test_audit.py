@@ -243,9 +243,10 @@ def test_scalar_lane_identity_is_appended():
 
 def test_identity_suite_builds_each_stirling_row_once(monkeypatch):
     # each second-kind Stirling cell is one times_linear_add call, named by
-    # (lam, k, -n).  The first kind is not kept, and its cells (lam, -n, k)
-    # would meet the second kind's at row 0, so none is recorded while
-    # audit.stirling1_table runs.
+    # (LAM, k, -n), or at L = p/q by (p, kq, -n), as its rows hold the integers
+    # q^(n-k) S(n, k).  The first kind is not kept, and its cells (LAM, -n, k)
+    # or (p, -nq, k) would meet the second kind's at row 0, so none is
+    # recorded while audit.stirling1_table runs.
     from degenums import audit, numbers
 
     cells = []

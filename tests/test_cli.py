@@ -666,21 +666,35 @@ def test_lambda_at_the_digit_bound_renders_at_the_200_ceilings(argv, capsys):
     assert 2300 < max(map(len, re.findall(r"\d+", out))) < 4300
 
 
-def test_a_value_past_the_int_to_text_limit_exits_2_with_one_error_line(capsys):
-    # with the interpreter's limit at its 640-digit minimum, the numbers at a
-    # 10-digit L are too long to write: the output stops part way, status 2
+@pytest.mark.parametrize(
+    "argv, seed_text",
+    [
+        (["numbers", "bernoulli", "--nmax", "200", "--lambda=9999999999"], None),
+        (
+            ["matrix", "B", "--seed", "custom", "--rows", "1", "--lambda=9999999999/9999999998"],
+            "9*L^200\n1\n",
+        ),
+    ],
+    ids=["numbers_bernoulli", "custom_seed"],
+)
+def test_a_value_past_the_int_to_text_limit_is_written_whole(argv, seed_text, tmp_path, capsys):
+    # with the interpreter's limit at its 640-digit minimum, these outputs hold
+    # longer integers; main lifts the limit while the writers run, so the
+    # output is whole and the interpreter's limit is back at 640 afterwards
     if not hasattr(sys, "set_int_max_str_digits"):
         pytest.skip("this Python has no limit on int-to-text conversion")
+    if seed_text is not None:
+        argv = argv + ["--custom-file", _seed_file(tmp_path, seed_text)]
+    expected = run_cli(capsys, *argv)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
-        argv = ["numbers", "bernoulli", "--nmax", "200", "--lambda=9999999999", "--format", "flat"]
-        status, out, err = run_cli(capsys, *argv)
+        result = run_cli(capsys, *argv)
+        assert sys.get_int_max_str_digits() == 640
     finally:
         sys.set_int_max_str_digits(limit)
-    assert status == 2 and out.startswith("0\t1\n")
-    (line,) = err.splitlines()
-    assert line.startswith("error: Exceeds the limit (640 digits)")
+    assert result == expected and expected[0] == 0 and expected[2] == ""
+    assert max(map(len, re.findall(r"\d+", expected[1]))) > 640
 
 
 # -- console entry point ---------------------------------------------------------------

@@ -421,7 +421,7 @@ def test_sum_of_products_edge_cases():
 # c = 1, as in every Stirling cell, and c = -(m+1), as in every kind-A/B cell
 @example(LambdaPoly((F(1, 2), 3)), 2, -5, LambdaPoly((F(2, 3), 0, 1)), 1, F(-3, 7))
 @example(LambdaPoly((F(1, 6), F(-2, 9))), 3, 1, LambdaPoly((F(5, 4),)), -4, F(1, 2))
-# an int x, y and L, where the lane still returns a Fraction
+# an int x, y, c and L, where the lane computes in plain ints
 @example(3, 1, -2, -5, 4, 2)
 @example(0, 7, 7, 0, 1, 0)
 def test_times_linear_add_commutes_with_evaluation(x, a, b, y, c, q):
@@ -429,7 +429,7 @@ def test_times_linear_add_commutes_with_evaluation(x, a, b, y, c, q):
     xs, ys = (LambdaPoly.constant(v) if isinstance(v, int) else v for v in (x, y))
     xq, yq = (v if isinstance(v, int) else v.eval_at(q) for v in (x, y))
     lane = times_linear_add(xq, a, b, yq, c, q)
-    assert type(lane) is F
+    assert type(lane) is (int if all(type(v) is int for v in (xq, yq, c, q)) else F)
     assert lane == xs.mul_linear_add(a, b, ys, c).eval_at(q)
     assert lane == F(xq) * (a + b * F(q)) + F(yq) * F(c)
 

@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from degenums import numbers
 from degenums.algorithms import (
@@ -143,6 +145,61 @@ def test_stirling2_rows_are_built_once(monkeypatch):
     bell_deg_sequence(9, lam=F(-3, 7))
     bernoulli_deg_sequence(9, F(-3, 7))
     assert len(calls) == len(set(calls)) == 24 * 25 // 2 + 9 * 10 // 2
+
+
+def test_rational_stirling_cells_are_plain_ints(monkeypatch):
+    # at L = p/q the Stirling rows hold the integers q^(n-k) S(n, k), so no
+    # cell of either kind builds a Fraction
+    values = []
+    real = numbers.times_linear_add
+
+    def recording(*args):
+        values.append(real(*args))
+        return values[-1]
+
+    monkeypatch.setattr(numbers, "_stirling2_rows", {})
+    monkeypatch.setattr(numbers, "times_linear_add", recording)
+    bernoulli_deg_sequence(40, F(-3, 7))
+    stirling1_table(20, F(5, 3))
+    assert len(values) == 40 * 41 // 2 + 20 * 21 // 2
+    assert all(type(v) is int for v in values)
+
+
+_DIGITS = st.integers(-(10**10) + 1, 10**10 - 1)
+_NONZERO = st.integers(1, 10**10 - 1) | st.integers(-(10**10) + 1, -1)
+_X = F(-2, 5)
+_SYMBOLIC = {}
+
+
+def _rational_lane(lam, n):
+    # every table and family at n, flattened in one order
+    return [
+        *(v for row in stirling2_table(n, lam).entries for v in row),
+        *(v for row in stirling1_table(n, lam).entries for v in row),
+        *bernoulli_deg_sequence(n, lam),
+        *euler_deg_sequence(n, lam),
+        *bell_deg_sequence(n, _X, lam),
+        *bernoulli_deg_poly_sequence(n, _X, lam),
+        *euler_deg_poly_sequence(n, 1, lam),
+    ]
+
+
+@settings(deadline=None, max_examples=100)
+@given(_DIGITS, _NONZERO, st.integers(0, 14), st.data())
+@example(0, 1, 14, None)
+@example(-7, 1, 14, None)
+@example(9999999999, 9999999998, 14, None)
+def test_rational_lane_equals_the_evaluated_polynomials(p, q, n, data):
+    # p and q of up to 10 digits, L negative, 0 or whole included; a shorter
+    # table is asked for first, so the row store serves a scaled prefix
+    lam = F(p, q)
+    if data is not None:
+        stirling2_table(data.draw(st.integers(0, n)), lam)
+    if n not in _SYMBOLIC:
+        _SYMBOLIC[n] = _rational_lane(LAM, n)
+    values = _rational_lane(lam, n)
+    assert all(type(v) is F for v in values)
+    assert values == [v.eval_at(lam) for v in _SYMBOLIC[n]]
 
 
 def test_float_lambda_leaves_the_row_store_clean(monkeypatch):
