@@ -74,7 +74,7 @@ def _lambda_arg(text: str) -> Fraction:
     try:
         q = parse_rat(text)
         if max(abs(q.numerator), q.denominator) >= 10**10:
-            # 20-digit ones take the numbers at --nmax 200 past int-to-text's 4300 digits
+            # with the size ceilings, bounds every integer a run builds and prints
             raise ValueError(f"P and Q must have at most 10 digits: {text!r}")
         return q
     except ValueError as exc:

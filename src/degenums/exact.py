@@ -331,11 +331,10 @@ LAM = LambdaPoly((0, 1))
 # Fraction at which L is evaluated).  ``Value`` is an element of either.
 # Both share +, - and *, and multiplying by an int or a Fraction is scaling
 # in either.  ``check_lam`` and ``ring_one`` below name the ring that ``lam``
-# picks, and more places branch on it: by ``lam is LAM``, ``times_linear_add``
-# (its kernels), the Stirling rows of ``numbers`` (integers at a rational),
-# ``StirlingTable.nested_sums`` (Horner's rule or the weights multiplied out),
-# ``SequenceSpec.values`` (custom entries evaluated at a rational) and
-# ``build_table`` (only runs over L are kept); by entry type, ``weighted_sums``.
+# picks, and more places branch on it by ``lam is LAM``: ``times_linear_add``
+# (its kernels), the Stirling rows and weighted sums of ``numbers`` (integers
+# at a rational), ``SequenceSpec.values`` (custom entries evaluated at a
+# rational) and ``build_table`` (only runs over L are kept).
 Value = LambdaPoly | Scalar
 
 

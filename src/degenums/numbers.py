@@ -9,12 +9,13 @@ be cross-checked.
 
 Both Stirling triangles come from one row recurrence, whose rows at a
 rational L = p/q hold the integers q^(n-k) S(n, k).  The Bernoulli, Euler
-and Bell numbers are closed weighted sums over the second-kind triangle, at
-L = p/q one integer dot product per scaled row; the polynomial values at x
-come from the binomial convolution with degenerate falling factorials of x.
-The Bernoulli weights and the falling factorials are products of linear
-factors in L, so over polynomials in L those sums run by Horner's rule
-(``StirlingTable.nested_sums``).  Each family takes L as ``lam``: LAM (the
+and Bell numbers are closed weighted sums over the second-kind triangle; the
+polynomial values at x come from the binomial convolution with degenerate
+falling factorials of x.  The Bernoulli weights and the falling factorials
+are products of linear factors in L, so over polynomials in L those sums run
+by Horner's rule (``StirlingTable.nested_sums``).  At a rational L every one
+of these sums is integer rows against integer weights, one dot product per
+row reduced once (``_dots``).  Each family takes L as ``lam``: LAM (the
 default) gives polynomials in L, a Fraction the same numbers at that value.
 """
 
@@ -82,20 +83,26 @@ def _table(rows: list[tuple], lam: Value) -> StirlingTable:
     return StirlingTable(tuple(rows))
 
 
+def _dots(rows, dens: list[int], weights: list) -> list[Fraction]:
+    # [sum_k rows[n][k] weights[k] / dens[n]] for integer rows: one integer dot
+    # product per row over the weights' common denominator d, reduced once
+    # into a Fraction by d dens[n].  Every weighted sum at a rational L is this.
+    d = math.lcm(*(w.denominator for w in weights))
+    ws = [w.numerator * (d // w.denominator) for w in weights]
+    return [Fraction(sum(map(operator.mul, row, ws)), d * den) for row, den in zip(rows, dens)]
+
+
 def _stirling2_sums(nmax: int, lam: Value, heads: list, nested: tuple = ()) -> list[Value]:
     # [sum_k S(n, k) w_k for n = 0..nmax], w_k = heads[k] or, for nested =
     # (start, step), nested_sums' weights; at L = p/q, q^k w_k is heads[k] times
-    # the integer prod_{j<k} q f_j, so each scaled row is one integer dot product
-    # over the weights' common denominator d, reduced once into a Fraction by d q^n.
+    # the integer prod_{j<k} q f_j, so row n of the scaled rows sums over q^n.
     if lam is LAM:
         table = stirling2_table(nmax)
         return table.nested_sums(heads, *nested) if nested else table.weighted_sums(heads)
     rows = _stirling_rows(nmax, lam)
     ((a, b), (da, db)), p, q = nested or ((1, 0), (0, 0)), lam.numerator, lam.denominator
     ws = [h * f for h, f in zip(heads, linear_products(a * q + b * p, da * q + db * p, nmax))]
-    d = math.lcm(*(w.denominator for w in ws))
-    ws = [w.numerator * (d // w.denominator) for w in ws]
-    return [Fraction(sum(map(operator.mul, row, ws)), d * q**n) for n, row in enumerate(rows)]
+    return _dots(rows, [q**n for n in range(nmax + 1)], ws)
 
 
 def stirling2_table(nmax: int, lam: Value = LAM) -> StirlingTable:
@@ -144,15 +151,25 @@ def bell_deg_sequence(nmax: int, x: Scalar = 1, lam: Value = LAM) -> list[Value]
 
 
 def _convolve_at(base: list[Value], x: Fraction, lam: Value) -> list[Value]:
-    # sum_k C(n,k) (x)_{n-k,L} base[k], as a weighted sum over the triangle
-    # C(n,m) base[n-m]: with x = p/q the falling factorial (x)_{m,L} is
+    # sum_m C(n,m) (x)_{m,L} base[n-m].  Over L: a weighted sum over the triangle
+    # C(n,m) base[n-m], with x = p/q the falling factorial (x)_{m,L} is
     # prod_{j<m} (p - j q L) / q^m, nested as heads 1/q^m and factors p - j q L.
+    # At L = r/s: (x)_{m,L} = P_m / (qs)^m with the integers P_m =
+    # prod_{j<m} (ps - jqr), and base[k] = V_k / (d (qs)^k) with integers V_k
+    # and d the least such, so row n is the integers C(n,m) V_{n-m} over d (qs)^n.
     p, q = x.numerator, x.denominator
     nmax = len(base) - 1
-    pascal = StirlingTable(
-        tuple(tuple(base[n - m] * math.comb(n, m) for m in range(n + 1)) for n in range(nmax + 1))
-    )
-    return pascal.nested_sums([Fraction(1, q**m) for m in range(nmax + 1)], (p, 0), (0, -q), lam)
+    if lam is LAM:
+        pascal = StirlingTable(
+            tuple(tuple(base[n - m] * math.comb(n, m) for m in range(n + 1)) for n in range(nmax + 1))
+        )
+        return pascal.nested_sums([Fraction(1, q**m) for m in range(nmax + 1)], (p, 0), (0, -q))
+    r, s = lam.numerator, lam.denominator
+    qs = [(q * s) ** k for k in range(nmax + 1)]
+    d = math.lcm(*(b.denominator // math.gcd(b.denominator, t) for b, t in zip(base, qs)))
+    vs = [b.numerator * (d * t // b.denominator) for b, t in zip(base, qs)]
+    rows = (map(operator.mul, map(math.comb, repeat(n), range(n + 1)), vs[n::-1]) for n in range(nmax + 1))
+    return _dots(rows, [d * t for t in qs], linear_products(p * s, -q * r, nmax))
 
 
 def bernoulli_deg_poly_sequence(nmax: int, x: Scalar, lam: Value = LAM) -> list[Value]:

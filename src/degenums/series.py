@@ -222,8 +222,9 @@ def apply_weighted_derivation(f: TruncatedSeries, n: int) -> tuple[TruncatedSeri
 class StirlingTable(namedtuple("StirlingTable", "entries")):
     """Triangular table of degenerate Stirling numbers (either kind),
     entries[n][k] for k <= n, as polynomials in L or as rationals at one
-    value of L.  Entries outside the triangle read as zero.  The binomial
-    convolutions of the number families sum over such a triangle too.
+    value of L.  Entries outside the triangle read as zero.  The weighted
+    sums take only a table over polynomials in L, and the binomial
+    convolutions of the number families over L sum over such a table too.
     """
 
     __slots__ = ()
@@ -252,56 +253,33 @@ class StirlingTable(namedtuple("StirlingTable", "entries")):
             return self.entries[0][0] * 0
         return self.entries[n][k]
 
-    def weighted_sums(self, weights: Sequence[Value]) -> list[Value]:
-        """[sum_k entry(n, k) * weights[k] for n = 0..nmax]: every weighted
-        Stirling sum over a plain weight vector goes through this one kernel.
-        A sum stays in the ring of the entries (weights may be plain
-        rationals).  Over polynomials in L each row is one
-        ``sum_of_products``; over the rationals each row is one integer over
-        a running common denominator, grown only by the part of a product's
-        denominator it lacks, and reduced once into a Fraction."""
+    def _poly_rows(self, weights: Sequence) -> tuple[tuple[LambdaPoly, ...], ...]:
         if len(weights) <= self.nmax:
             raise ValueError(f"need {self.nmax + 1} weights, got {len(weights)}")
-        if isinstance(self.entries[0][0], LambdaPoly):
-            return [LambdaPoly.sum_of_products(zip(row, weights)) for row in self.entries]
-        out = []
-        for row in self.entries:
-            num, den = 0, 1
-            for c, w in zip(row, weights):
-                if c and w:
-                    d = c.denominator * w.denominator
-                    grow = d // math.gcd(den, d)
-                    if grow != 1:
-                        num, den = num * grow, den * grow
-                    num += c.numerator * w.numerator * (den // d)
-            out.append(Fraction(num, den))
-        return out
+        if not isinstance(self.entries[0][0], LambdaPoly):
+            raise ValueError("weighted sums take a table over polynomials in L")
+        return self.entries
+
+    def weighted_sums(self, weights: Sequence[LambdaPoly | Scalar]) -> list[LambdaPoly]:
+        """[sum_k entry(n, k) * weights[k] for n = 0..nmax] over polynomials
+        in L, one ``sum_of_products`` per row (weights may be plain
+        rationals): every weighted Stirling sum over a plain weight vector
+        goes through this one kernel.  At a rational L the sums run on the
+        integer rows of ``numbers``, so a table of rationals is refused."""
+        return [LambdaPoly.sum_of_products(zip(row, weights)) for row in self._poly_rows(weights)]
 
     def nested_sums(
-        self,
-        heads: Sequence[Scalar],
-        start: tuple[int, int],
-        step: tuple[int, int],
-        lam: Value = LAM,
-    ) -> list[Value]:
+        self, heads: Sequence[Scalar], start: tuple[int, int], step: tuple[int, int]
+    ) -> list[LambdaPoly]:
         """The weighted sums for nested weights w_k = heads[k] prod_{j<k} f_j:
-        rational heads, linear factors f_j = (a + j da) + (b + j db) L from
-        the integer pairs start = (a, b) and step = (da, db), and L at lam in
-        the ring of the entries.  Over polynomials in L each row runs by
-        Horner's rule, t_0 h_0 + f_0 (t_1 h_1 + f_1 (...)), one fused
-        ``mul_linear_add`` per step, so no step multiplies two polynomials; at
-        a rational L the weights are multiplied out once for ``weighted_sums``,
-        which is faster over Fractions."""
-        if len(heads) <= self.nmax:
-            raise ValueError(f"need {self.nmax + 1} weights, got {len(heads)}")
-        if (lam is LAM) != isinstance(self.entries[0][0], LambdaPoly):
-            raise ValueError("nested weights must take L in the ring of the entries")
+        rational heads and linear factors f_j = (a + j da) + (b + j db) L from
+        the integer pairs start = (a, b) and step = (da, db), over polynomials
+        in L.  Each row runs by Horner's rule, t_0 h_0 + f_0 (t_1 h_1 + f_1
+        (...)), one fused ``mul_linear_add`` per step, so no step multiplies
+        two polynomials."""
         (a, b), (da, db) = start, step
-        if lam is not LAM:
-            prods = linear_products(a + b * lam, da + db * lam, len(heads) - 1)
-            return self.weighted_sums([p * h for p, h in zip(prods, heads)])
         out = []
-        for row in self.entries:
+        for row in self._poly_rows(heads):
             acc = row[-1].scale(heads[len(row) - 1])
             for k in range(len(row) - 2, -1, -1):
                 acc = acc.mul_linear_add(a + k * da, b + k * db, row[k], heads[k])
