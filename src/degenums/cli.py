@@ -7,17 +7,22 @@ findings).  Output is a structured JSON record by default or a flat
 tab-separated table with ``--format flat``; every polynomial uses the
 canonical text rendering.  An ``OutputRecord`` payload holds the exact
 values, not their text: each value is rendered as it is written, one row per
-write, so a table is never held as text.  A rational substitution for L can
-be supplied as ``--lambda p/q``; decimals are rejected to preserve
+write, so a table is never held as text.  A symbolic ``matrix`` table or
+``numbers stirling1|stirling2`` triangle of at least ``_FORK_COEFFICIENTS``
+coefficients renders on two processes: one forked child renders the odd rows
+and streams them back, byte-identical and still one row per write.  Smaller
+tables, tables at a rational L, and runs without ``os.fork``, on one CPU or
+beside other threads render in this process.  A rational substitution for L
+can be supplied as ``--lambda p/q``; decimals are rejected to preserve
 exactness.  With it, ``numbers`` and ``matrix`` run their recurrences at that
 value directly.
 Sizes are bounded: ``numbers --nmax`` and ``matrix --rows`` in 0..200,
 ``verify --nmax`` and ``--order`` in 0..30, custom seed degrees in L to 200.
 
 Exit statuses: 0 success, 1 verification failure, 2 usage or input error
-or output that cannot be written (a closed stdout, a full device), with one
-``error:`` line on stderr, and 141 when the reader closes stdout early
-(128 + SIGPIPE), with nothing on stderr.
+or output that cannot be written (a closed stdout, a full device, a failed
+forked renderer), with one ``error:`` line on stderr, and 141 when the reader
+closes stdout early (128 + SIGPIPE), with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -205,6 +210,111 @@ def _cmd_audit(args: argparse.Namespace) -> OutputRecord:
 
 # -- rendering ---------------------------------------------------------------
 
+# A table of at least this many coefficients (len(_num) per LambdaPoly, 1 per
+# Fraction) renders its odd rows in one forked child.  Measured on a 2-CPU
+# host, flat output to /dev/null: the fork and the pipe cost about 4 ms (1,542
+# coefficients took 5.4 ms forked, 1.7 ms in process), they broke even near
+# 12,000 coefficients, and from 50,000 up the forked render took 0.65-0.88 of
+# the in-process time.  The margin over break even keeps a fork paying in a
+# larger process or on a busy second CPU.  It also keeps `matrix B --rows 40`
+# (23,821) in process, and every table at a rational L: those hold at most
+# 20,301 cells at the 200 ceilings.
+_FORK_COEFFICIENTS = 50_000
+
+
+def _json_row(row, pad: str) -> str:
+    """A row of exact values as json.dumps(row, indent=2) writes it at indent ``pad``."""
+    if not row:
+        return "[]"
+    inner = "\n" + pad + "  "
+    return f'[{inner}"' + f'",{inner}"'.join(map(_fmt, row)) + f'"\n{pad}]'
+
+
+def _flat_row(n: int, row) -> str:
+    return "".join(f"{n}\t{k}\t{_fmt(v)}\n" for k, v in enumerate(row))
+
+
+def _fork_odd_rows(rows, row_text):
+    """(pid, pipe) of a forked child that sends ``row_text(n, rows[n])`` of
+    each odd row n through the pipe as an 8-byte length and the UTF-8 text;
+    None where the table renders in this process: under the bound above,
+    without os.fork or where it fails, on one CPU, or beside other threads,
+    whose locks a forked child could inherit held."""
+    if not hasattr(os, "fork"):
+        return None
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if (cpus or 1) < 2:
+        return None
+    count = sum(len(v._num) if isinstance(v, LambdaPoly) else 1 for row in rows for v in row)
+    if count < _FORK_COEFFICIENTS:
+        return None
+    import threading  # only for a table this large; the CLI's start-up does not load it
+
+    if threading.active_count() > 1:
+        return None
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        return None
+    if pid == 0:  # the child leaves through os._exit on every path, also when the pipe closes
+        status = 1
+        try:
+            os.close(read_end)
+            with open(write_end, "wb") as pipe:
+                for n in range(1, len(rows), 2):
+                    data = row_text(n, rows[n]).encode()
+                    pipe.write(len(data).to_bytes(8, "big"))
+                    pipe.write(data)
+                    pipe.flush()
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    return pid, open(read_end, "rb")
+
+
+def _write_rows(rows, row_text, out: TextIO, first: str = "", between: str = "") -> None:
+    """Write ``row_text(n, row)`` of each row in one write, ``first`` before
+    row 0 and ``between`` before each later row.  A large table renders its
+    odd rows in a forked child: in row order this process writes its own row,
+    then reads the child's next row and writes it, so the two run in lockstep
+    and at most one of the child's rows is held here.  A child that stops
+    early or fails is an output error (ChildProcessError); the child is
+    reaped on every path."""
+    child = _fork_odd_rows(rows, row_text)
+    if child is None:
+        for n, row in enumerate(rows):
+            out.write(between if n else first)
+            out.write(row_text(n, row))
+        return
+    pid, pipe = child
+    complete = False
+    try:
+        for n, row in enumerate(rows):
+            if n % 2 == 0:
+                text = row_text(n, row)
+            else:
+                head = pipe.read(8)
+                size = int.from_bytes(head, "big")
+                data = pipe.read(size)
+                if len(head) < 8 or len(data) < size:
+                    break
+                text = data.decode()
+            out.write(between if n else first)
+            out.write(text)
+        else:
+            complete = True
+    finally:
+        pipe.close()
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if not complete or status:
+        raise ChildProcessError(
+            f"cannot write the output: the process rendering the odd rows exited with status {status}"
+        )
+
 
 def _write_json(value: object, out: TextIO, pad: str) -> None:
     """Write exactly the bytes of json.dump(value, out, indent=2) at indent
@@ -222,15 +332,19 @@ def _write_json(value: object, out: TextIO, pad: str) -> None:
             _write_json(item, out, pad + "  ")
             sep = ","
         out.write(f"\n{pad}}}")
-    elif isinstance(value[0], (dict, list, tuple)):
+    elif isinstance(value[0], dict):
         sep = "["
         for item in value:
             out.write(sep + inner)
             _write_json(item, out, pad + "  ")
             sep = ","
         out.write(f"\n{pad}]")
+    elif isinstance(value[0], (list, tuple)):  # rows of exact values, one write each
+        row_pad = pad + "  "
+        _write_rows(value, lambda n, row: _json_row(row, row_pad), out, "[" + inner, "," + inner)
+        out.write(f"\n{pad}]")
     else:  # a row of exact values, in one write
-        out.write(f'[{inner}"' + f'",{inner}"'.join(map(_fmt, value)) + f'"\n{pad}]')
+        out.write(_json_row(value, pad))
 
 
 def to_structured(record: OutputRecord, out: TextIO) -> None:
@@ -244,8 +358,7 @@ def to_flat(record: OutputRecord, out: TextIO) -> None:
         for n, value in enumerate(p["values"]):
             out.write(f"{n}\t{_fmt(value)}\n")
     elif record.kind in ("number_table", "matrix"):
-        for n, row in enumerate(p["table"] if record.kind == "matrix" else p["rows"]):
-            out.write("".join(f"{n}\t{k}\t{_fmt(v)}\n" for k, v in enumerate(row)))
+        _write_rows(p["table"] if record.kind == "matrix" else p["rows"], _flat_row, out)
     elif record.kind == "identity_report":
         for r in p["results"]:
             state = "true" if r["pass"] else "false"
@@ -359,8 +472,8 @@ def main(argv: list[str] | None = None) -> int:
         finally:
             if limit:
                 sys.set_int_max_str_digits(limit)
-    except ValueError as exc:
-        # input errors come before any output
+    except (ValueError, ChildProcessError) as exc:
+        # input errors come before any output; a failed row renderer after some
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if failed:

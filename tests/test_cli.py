@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,10 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import degenums
-from degenums.algorithms import AlgorithmTable, SequenceSpec
+from degenums.algorithms import AlgorithmTable, SequenceSpec, build_table
 from degenums.audit import IdentityResult, MatrixAuditResult, PrintedEntry
 from degenums.cli import OutputRecord, main
 from degenums.exact import LAM, ONE, ZERO, LambdaPoly, format_rat, parse_rat
+from degenums.numbers import stirling2_table
 from degenums.series import StirlingTable
 
 F = Fraction
@@ -602,24 +604,26 @@ class _WriteRecorder(io.StringIO):
 
 
 @pytest.mark.parametrize("fmt", ["structured", "flat"])
-def test_output_is_written_row_by_row(fmt):
-    out = _WriteRecorder()
-    with contextlib.redirect_stdout(out):
-        assert main(["matrix", "B", "--rows", "40", "--format", fmt]) == 0
-    text = out.getvalue()
-    if fmt == "structured":
-        # each row as it stands in the record, three levels deep
-        table = json.loads(text)["payload"]["table"]
-        rows = [json.dumps(row, indent=2).replace("\n", "\n      ") for row in table]
-    else:
-        by_row: dict[str, str] = {}
-        for line in text.splitlines(keepends=True):
-            n = line.partition("\t")[0]
-            by_row[n] = by_row.get(n, "") + line
-        rows = list(by_row.values())
-    assert len(rows) == 41
-    assert max(out.sizes) <= max(map(len, rows))
-    assert len(out.sizes) >= len(rows)
+def test_output_is_written_row_by_row(fmt, two_cpus):
+    # at 100 rows a forked child renders the odd rows, still one write each
+    for size in (40, 100):
+        out = _WriteRecorder()
+        with contextlib.redirect_stdout(out):
+            assert main(["matrix", "B", "--rows", str(size), "--format", fmt]) == 0
+        text = out.getvalue()
+        if fmt == "structured":
+            # each row as it stands in the record, three levels deep
+            table = json.loads(text)["payload"]["table"]
+            rows = [json.dumps(row, indent=2).replace("\n", "\n      ") for row in table]
+        else:
+            by_row: dict[str, str] = {}
+            for line in text.splitlines(keepends=True):
+                n = line.partition("\t")[0]
+                by_row[n] = by_row.get(n, "") + line
+            rows = list(by_row.values())
+        assert len(rows) == size + 1
+        assert max(out.sizes) <= max(map(len, rows))
+        assert len(out.sizes) >= len(rows)
 
 
 @pytest.mark.parametrize("fmt", ["structured", "flat"])
@@ -697,6 +701,154 @@ def test_a_value_past_the_int_to_text_limit_is_written_whole(argv, seed_text, tm
     assert max(map(len, re.findall(r"\d+", expected[1]))) > 640
 
 
+# -- large tables: the odd rows rendered in a forked child ------------------------------
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    # whether a table forks depends on the CPUs this process may run on
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _custom_seed_polys(count):
+    return [LambdaPoly([F(k % 7 - 3, k % 5 + 1), F(1, k + 1), F(k % 4 - 2, 3)]) for k in range(count)]
+
+
+_LARGE_TABLES = [
+    ["matrix", "B", "--seed", "bernoulli", "--rows", "60"],
+    ["matrix", "A", "--seed", "half", "--rows", "100"],
+    ["numbers", "stirling2", "--nmax", "100"],
+    ["matrix", "A", "--seed", "custom", "--rows", "70"],
+]
+
+
+def _expected_outputs(argv):
+    # the structured and flat bytes, every cell rendered here from the table itself
+    if argv[0] == "numbers":
+        nmax = int(argv[3])
+        table = stirling2_table(nmax).entries
+        kind, key, payload = "number_table", "rows", {"family": "stirling2", "nmax": nmax}
+    else:
+        alg, seed, rows = argv[1], argv[3], int(argv[5])
+        spec = {
+            "bernoulli": SequenceSpec.bernoulli,
+            "half": SequenceSpec.half_powers,
+            "custom": lambda: SequenceSpec.custom(_custom_seed_polys(rows + 1)),
+        }[seed]()
+        table = build_table(alg, spec, rows).rows
+        kind, key, payload = "matrix", "table", {"algorithm": alg, "seed": seed, "rows": rows}
+    texts = [[v.render() for v in row] for row in table]
+    payload.update({"lambda": None, key: texts})
+    structured = json.dumps({"kind": kind, "payload": payload}, indent=2) + "\n"
+    flat = "".join(f"{n}\t{k}\t{text}\n" for n, row in enumerate(texts) for k, text in enumerate(row))
+    return {"structured": structured, "flat": flat}
+
+
+@pytest.mark.parametrize("argv", _LARGE_TABLES, ids=" ".join)
+def test_large_tables_write_the_same_bytes_forked_or_not(argv, tmp_path, monkeypatch, two_cpus):
+    if "custom" in argv:
+        text = "".join(p.render() + "\n" for p in _custom_seed_polys(int(argv[5]) + 1))
+        argv = argv + ["--custom-file", _seed_file(tmp_path, text)]
+    expected = _expected_outputs(argv)
+    fork, forks = os.fork, []
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    def failed_fork():
+        raise OSError("fork failed")
+
+    for fmt in ("structured", "flat"):
+        monkeypatch.setattr(os, "fork", counted_fork)
+        assert _capture(argv + ["--format", fmt]) == (0, expected[fmt], "")
+        assert forks == [1]
+        _no_child_left()
+        forks.clear()
+        monkeypatch.setattr(os, "fork", failed_fork)
+        assert _capture(argv + ["--format", fmt]) == (0, expected[fmt], "")
+        _no_child_left()
+
+
+_IN_PROCESS = [
+    ["verify", "--nmax", "30", "--order", "30"],
+    ["audit"],
+    ["numbers", "bernoulli", "--nmax", "100"],
+    ["numbers", "bernoulli", "--nmax", "100", "--lambda=3/8"],
+    # the lambda_eval shape, 5,151 cells; a rational table has at most 20,301
+    ["matrix", "B", "--rows", "100", "--lambda=-1/9"],
+    ["numbers", "stirling1", "--nmax", "200", "--lambda=-3/7"],
+    # 23,821 coefficients, under the bound
+    ["matrix", "B", "--rows", "40"],
+]
+
+
+@pytest.mark.parametrize("argv", _IN_PROCESS, ids=" ".join)
+def test_small_tables_and_reports_render_in_this_process(argv, monkeypatch, two_cpus):
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    for fmt in ("structured", "flat"):
+        status, out, err = _capture(argv + ["--format", fmt])
+        assert (status, err) == (0, "") and out
+
+
+@pytest.mark.parametrize("cpus", ["affinity", "cpu_count"])
+def test_one_cpu_renders_a_large_table_in_this_process(cpus, monkeypatch):
+    # the CPUs this process may run on where the platform says, else the machine's
+    argv = _LARGE_TABLES[0]
+    if cpus == "affinity":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    assert _capture(argv + ["--format", "flat"]) == (0, _expected_outputs(argv)["flat"], "")
+
+
+def test_a_large_table_beside_another_thread_renders_in_this_process(monkeypatch, two_cpus):
+    # a forked child would inherit the other thread's locks in whatever state they are
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    argv = _LARGE_TABLES[0]
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait, args=(60,))
+    thread.start()
+    try:
+        assert _capture(argv + ["--format", "flat"]) == (0, _expected_outputs(argv)["flat"], "")
+    finally:
+        done.set()
+        thread.join(timeout=60)
+    assert not thread.is_alive()
+
+
+@pytest.mark.parametrize("fmt", ["structured", "flat"])
+def test_a_failed_row_renderer_exits_2_with_one_error_line(fmt, monkeypatch, two_cpus):
+    # the child renders every odd row; here each of its renders raises
+    pid, render = os.getpid(), LambdaPoly.render
+
+    def render_here_only(self):
+        if os.getpid() != pid:
+            raise RuntimeError("no render in the child")
+        return render(self)
+
+    monkeypatch.setattr(LambdaPoly, "render", render_here_only)
+    status, out, err = _capture(["matrix", "B", "--rows", "60", "--format", fmt])
+    assert status == 2
+    (line,) = err.splitlines()
+    assert line.startswith("error: cannot write the output: ") and "status 1" in line
+    if fmt == "flat":  # row 0, then nothing
+        assert out and all(line.startswith("0\t") for line in out.splitlines())
+    else:
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(out)
+    _no_child_left()
+
+
 # -- console entry point ---------------------------------------------------------------
 
 
@@ -717,20 +869,22 @@ def test_module_invocation_subprocess():
 
 def test_closed_pipe_exits_141_with_nothing_on_stderr():
     # as `degenums matrix B --rows 40 --format flat | head` does: the reader
-    # takes 100 bytes of about 1 MB and closes the pipe
+    # takes 100 bytes of about 1 MB and closes the pipe; at 100 rows a forked
+    # child renders the odd rows
     src = str(Path(degenums.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "degenums", "matrix", "B", "--rows", "40", "--format", "flat"],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env={**os.environ, "PYTHONPATH": path},
-    )
-    assert len(proc.stdout.read(100)) == 100
-    proc.stdout.close()
-    assert proc.stderr.read() == b""
-    proc.stderr.close()
-    assert proc.wait(timeout=60) == 141
+    for rows in ("40", "100"):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "degenums", "matrix", "B", "--rows", rows, "--format", "flat"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
 
 
 def _console(argv, **streams):
