@@ -12,10 +12,12 @@ write, so a table is never held as text.  A symbolic ``matrix`` table or
 coefficients renders on two processes: one forked child renders the odd rows
 and streams them back, byte-identical and still one row per write.  Smaller
 tables, tables at a rational L, and runs without ``os.fork``, on one CPU or
-beside other threads render in this process.  A rational substitution for L
-can be supplied as ``--lambda p/q``; decimals are rejected to preserve
-exactness.  With it, ``numbers`` and ``matrix`` run their recurrences at that
-value directly.
+beside other threads render in this process.  ``verify`` checks its
+identities on two processes under the same rule, through the same helper
+(``audit._fork_child``), and renders its small report here.  A rational
+substitution for L can be supplied as ``--lambda p/q``; decimals are rejected
+to preserve exactness.  With it, ``numbers`` and ``matrix`` run their
+recurrences at that value directly.
 Sizes are bounded: ``numbers --nmax`` and ``matrix --rows`` in 0..200,
 ``verify --nmax`` and ``--order`` in 0..30, custom seed degrees in L to 200.
 
@@ -38,7 +40,7 @@ from typing import TextIO
 
 from . import numbers as num
 from .algorithms import SequenceSpec, build_table
-from .audit import audit_printed_matrices, run_identity_suite
+from .audit import _fork_child, audit_printed_matrices, run_identity_suite
 from .exact import LAM, LambdaPoly, Value, format_rat, parse_rat
 
 __all__ = ["OutputRecord", "build_parser", "main", "console_main"]
@@ -234,65 +236,24 @@ def _flat_row(n: int, row) -> str:
     return "".join(f"{n}\t{k}\t{_fmt(v)}\n" for k, v in enumerate(row))
 
 
-def _fork_odd_rows(rows, row_text):
-    """(pid, pipe) of a forked child that sends ``row_text(n, rows[n])`` of
-    each odd row n through the pipe as an 8-byte length and the UTF-8 text;
-    None where the table renders in this process: under the bound above,
-    without os.fork or where it fails, on one CPU, or beside other threads,
-    whose locks a forked child could inherit held."""
-    if not hasattr(os, "fork"):
-        return None
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    if (cpus or 1) < 2:
-        return None
-    count = sum(len(v._num) if isinstance(v, LambdaPoly) else 1 for row in rows for v in row)
-    if count < _FORK_COEFFICIENTS:
-        return None
-    import threading  # only for a table this large; the CLI's start-up does not load it
-
-    if threading.active_count() > 1:
-        return None
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        return None
-    if pid == 0:  # the child leaves through os._exit on every path, also when the pipe closes
-        status = 1
-        try:
-            os.close(read_end)
-            with open(write_end, "wb") as pipe:
-                for n in range(1, len(rows), 2):
-                    data = row_text(n, rows[n]).encode()
-                    pipe.write(len(data).to_bytes(8, "big"))
-                    pipe.write(data)
-                    pipe.flush()
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_end)
-    return pid, open(read_end, "rb")
-
-
 def _write_rows(rows, row_text, out: TextIO, first: str = "", between: str = "") -> None:
     """Write ``row_text(n, row)`` of each row in one write, ``first`` before
-    row 0 and ``between`` before each later row.  A large table renders its
-    odd rows in a forked child: in row order this process writes its own row,
-    then reads the child's next row and writes it, so the two run in lockstep
-    and at most one of the child's rows is held here.  A child that stops
-    early or fails is an output error (ChildProcessError); the child is
-    reaped on every path."""
-    child = _fork_odd_rows(rows, row_text)
-    if child is None:
-        for n, row in enumerate(rows):
-            out.write(between if n else first)
-            out.write(row_text(n, row))
-        return
-    pid, pipe = child
-    complete = False
-    try:
+    row 0 and ``between`` before each later row.  A table of at least
+    ``_FORK_COEFFICIENTS`` coefficients renders its odd rows in a forked child
+    (see ``audit._fork_child``), which sends each as an 8-byte length and its
+    UTF-8 text: in row order this process writes its own row, then reads the
+    child's next row and writes it, so the two run in lockstep and at most one
+    of the child's rows is held here.  A child that stops early or fails is an
+    output error (ChildProcessError)."""
+
+    def send_odd_rows(pipe) -> None:
+        for n in range(1, len(rows), 2):
+            data = row_text(n, rows[n]).encode()
+            pipe.write(len(data).to_bytes(8, "big"))
+            pipe.write(data)
+            pipe.flush()
+
+    def write_in_lockstep(pipe) -> bool:
         for n, row in enumerate(rows):
             if n % 2 == 0:
                 text = row_text(n, row)
@@ -301,15 +262,20 @@ def _write_rows(rows, row_text, out: TextIO, first: str = "", between: str = "")
                 size = int.from_bytes(head, "big")
                 data = pipe.read(size)
                 if len(head) < 8 or len(data) < size:
-                    break
+                    return False
                 text = data.decode()
             out.write(between if n else first)
             out.write(text)
-        else:
-            complete = True
-    finally:
-        pipe.close()
-        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        return True
+
+    count = sum(len(v._num) if isinstance(v, LambdaPoly) else 1 for row in rows for v in row)
+    forked = _fork_child(send_odd_rows, write_in_lockstep) if count >= _FORK_COEFFICIENTS else None
+    if forked is None:
+        for n, row in enumerate(rows):
+            out.write(between if n else first)
+            out.write(row_text(n, row))
+        return
+    complete, status = forked
     if not complete or status:
         raise ChildProcessError(
             f"cannot write the output: the process rendering the odd rows exited with status {status}"

@@ -1,4 +1,5 @@
 import math
+import os
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,32 @@ from degenums.series import StirlingTable, TruncatedSeries, e_lambda_series, log
 
 F = Fraction
 P = LambdaPoly.parse
+
+
+def _failed_fork():
+    raise OSError("fork failed")
+
+
+@pytest.fixture
+def in_one_process(monkeypatch):
+    # a forked child keeps the state it builds to itself, so the tests that
+    # count state run every identity here, as where os.fork fails
+    monkeypatch.setattr(os, "fork", _failed_fork)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    # on two CPUs the suite forks once per call; each fork is recorded
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    fork, made = os.fork, []
+
+    def counted_fork():
+        made.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return made
 
 
 def _result(results, matrix_id, row, col):
@@ -241,7 +268,7 @@ def test_scalar_lane_identity_is_appended():
     assert [r.name for r in faulty if not r.passed] == ["scalar_lane_matches_symbolic"]
 
 
-def test_identity_suite_builds_each_stirling_row_once(monkeypatch):
+def test_identity_suite_builds_each_stirling_row_once(monkeypatch, in_one_process):
     # each second-kind Stirling cell is one times_linear_add call, named by
     # (LAM, k, -n), or at L = p/q by (p, kq, -n), as its rows hold the integers
     # q^(n-k) S(n, k).  The first kind is not kept, and its cells (LAM, -n, k)
@@ -272,7 +299,7 @@ def test_identity_suite_builds_each_stirling_row_once(monkeypatch):
     assert cells and len(cells) == len(set(cells))
 
 
-def test_identity_suite_builds_each_power_table_once(monkeypatch):
+def test_identity_suite_builds_each_power_table_once(monkeypatch, in_one_process):
     # every power triangle the suite reads, through both names series.powers
     # is called by, is cut from the kept triangles of e_L(t) - 1 and
     # log_L(1+t), each at order 24 with rows of lengths 1..25.  Each cell
@@ -314,7 +341,7 @@ def test_identity_suite_builds_each_power_table_once(monkeypatch):
     assert all(any(g == b.truncate(g.order) for b in bases) for g in requests)
 
 
-def test_kept_power_table_with_a_wrong_cell_fails_every_reader(monkeypatch):
+def test_kept_power_table_with_a_wrong_cell_fails_every_reader(monkeypatch, forks):
     # the t^5 coefficient of (e_L(t) - 1)^2 in the kept triangle off by L: the
     # triangle is built once and kept, and every identity that reads it fails
     from degenums import series
@@ -327,12 +354,17 @@ def test_kept_power_table_with_a_wrong_cell_fails_every_reader(monkeypatch):
         "exp_log_compositional_inverse",
     ]
     monkeypatch.setattr(series, "_power_tables", [])
-    assert all(r.passed for r in run_identity_suite(8, 8))
+    with monkeypatch.context() as here:
+        # both triangles are built and kept in this process; the forked
+        # child of the second call inherits the wrong cell
+        here.setattr(os, "fork", _failed_fork)
+        assert all(r.passed for r in run_identity_suite(8, 8))
     (base, rows), _ = series._power_tables
     assert TruncatedSeries(base) == e_lambda_series(8) - TruncatedSeries.constant(ONE, 8)
     row = rows[5]
     rows[5] = row[:2] + (row[2] + LAM,) + row[3:]
     assert [r.name for r in run_identity_suite(8, 8) if not r.passed] == readers
+    assert forks == [1]
 
 
 def test_bell_series_is_exp_at_x_times_e_minus_1():
@@ -351,7 +383,7 @@ def test_bell_series_is_exp_at_x_times_e_minus_1():
     assert cap == 12 and [lhs for lhs, _ in pairs] == expected
 
 
-def test_identity_suite_runs_each_kind_ab_run_once(monkeypatch):
+def test_identity_suite_runs_each_kind_ab_run_once(monkeypatch, in_one_process):
     # symbolic recurrence cells: one 24-row run (300 cells) for each of the
     # six (kind, seed) pairs, which the 20- and 12-row readers then take
     # sub-trapezoids of; 2970 when the 15 twelve-row runs were built afresh
@@ -447,7 +479,7 @@ def test_derivation_operator_rows_checks_every_carried_row(monkeypatch):
     assert not {r.name: r.passed for r in run_identity_suite(0, 8)}["derivation_operator_rows"]
 
 
-def test_identity_suite_differentiates_once_per_carried_row(monkeypatch):
+def test_identity_suite_differentiates_once_per_carried_row(monkeypatch, in_one_process):
     # derivation_operator_rows carries 6 rows for each of 3 seeds, and no
     # other identity differentiates a series
     from degenums import series
@@ -462,6 +494,57 @@ def test_identity_suite_differentiates_once_per_carried_row(monkeypatch):
     monkeypatch.setattr(series.TruncatedSeries, "differentiate", counting)
     assert all(r.passed for r in run_identity_suite(30, 30))
     assert len(calls) == 18
+
+
+def _tuples(results):
+    return [(r.name, r.max_tested, r.passed) for r in results]
+
+
+@pytest.mark.parametrize("nmax, order", [(0, 0), (6, 6), (12, 12), (30, 30)])
+def test_forked_suite_equals_the_suite_in_one_process(nmax, order, forks, monkeypatch):
+    forked = _tuples(run_identity_suite(nmax, order))
+    assert forks == [1]
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert forked == _tuples(run_identity_suite(nmax, order))
+    assert [name for name, _, _ in forked] == list(IDENTITY_NAMES)
+
+
+def test_the_child_checks_a_fixed_part_of_the_registry():
+    from degenums import audit
+
+    child = audit._CHILD_IDENTITIES
+    assert len(set(child)) == len(child) and set(child) < set(IDENTITY_NAMES) and child
+
+
+@pytest.mark.parametrize("name", IDENTITY_NAMES)
+def test_an_injected_fault_fails_in_either_process(name, forks, monkeypatch):
+    # one flipped coefficient in the child's half or in this process's half
+    forked = _tuples(run_identity_suite(4, 4, inject_fault=name))
+    assert forks == [1]
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert forked == _tuples(run_identity_suite(4, 4, inject_fault=name))
+    assert [n for n, _, passed in forked if not passed] == [name]
+
+
+def test_a_child_that_exits_nonzero_after_its_verdicts_is_checked_again(monkeypatch, forks):
+    # every verdict arrives, but the child's status is 3: its identities run
+    # here, exp_log_compositional_inverse among them
+    from degenums import audit
+
+    pid, real_exit, real_log = os.getpid(), os._exit, audit.log_lambda_series
+    here = []
+
+    def log_series(order):
+        if os.getpid() == pid:
+            here.append(order)
+        return real_log(order)
+
+    monkeypatch.setattr(os, "_exit", lambda status: real_exit(status if os.getpid() == pid else 3))
+    monkeypatch.setattr(audit, "log_lambda_series", log_series)
+    assert all(r.passed for r in run_identity_suite(12, 12))
+    assert forks == [1] and here == [12]
 
 
 def test_identity_suite_degenerate_ranges():

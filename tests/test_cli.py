@@ -716,6 +716,17 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _record_forks(monkeypatch, events):
+    # os.fork as it is, with "fork" appended to events at each call
+    fork = os.fork
+
+    def counted_fork():
+        events.append("fork")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+
+
 def _custom_seed_polys(count):
     return [LambdaPoly([F(k % 7 - 3, k % 5 + 1), F(1, k + 1), F(k % 4 - 2, 3)]) for k in range(count)]
 
@@ -791,10 +802,24 @@ _IN_PROCESS = [
 
 @pytest.mark.parametrize("argv", _IN_PROCESS, ids=" ".join)
 def test_small_tables_and_reports_render_in_this_process(argv, monkeypatch, two_cpus):
-    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    # verify forks once, for the identity suite's child, and before any output
+    from degenums import cli
+
+    suite, events = cli.run_identity_suite, []
+
+    def suite_then_mark(*args, **kwargs):
+        results = suite(*args, **kwargs)
+        events.append("suite done")
+        return results
+
+    _record_forks(monkeypatch, events)
+    monkeypatch.setattr(cli, "run_identity_suite", suite_then_mark)
     for fmt in ("structured", "flat"):
+        events.clear()
         status, out, err = _capture(argv + ["--format", fmt])
         assert (status, err) == (0, "") and out
+        assert events == (["fork", "suite done"] if argv[0] == "verify" else [])
+        _no_child_left()
 
 
 @pytest.mark.parametrize("cpus", ["affinity", "cpu_count"])
@@ -847,6 +872,71 @@ def test_a_failed_row_renderer_exits_2_with_one_error_line(fmt, monkeypatch, two
         with pytest.raises(json.JSONDecodeError):
             json.loads(out)
     _no_child_left()
+
+
+# -- the identity suite's forked child ------------------------------------------------
+
+
+def _failing_in_the_child(monkeypatch, failure):
+    # log_L(1+t) is read only by exp_log_compositional_inverse, one of the
+    # identities the child checks; here it fails in the child
+    from degenums import audit
+
+    pid, real = os.getpid(), audit.log_lambda_series
+
+    def log_series(order):
+        if os.getpid() != pid:
+            failure()
+        return real(order)
+
+    monkeypatch.setattr(audit, "log_lambda_series", log_series)
+
+
+def _raise():
+    raise RuntimeError("no log series")
+
+
+@pytest.mark.parametrize("failure", [_raise, lambda: os._exit(1)], ids=["raises", "exits_1"])
+def test_a_failed_suite_child_has_its_identities_checked_here(failure, monkeypatch, two_cpus):
+    # a child that fails, or leaves before it writes, changes nothing: its
+    # identities run again here, with the same output
+    argv = ["verify", "--nmax", "12", "--order", "12"]
+    expected, forks = _capture(argv), []
+    assert expected[0] == 0
+    _record_forks(monkeypatch, forks)
+    _failing_in_the_child(monkeypatch, failure)
+    assert _capture(argv) == expected
+    assert forks == ["fork"]
+    _no_child_left()
+
+
+def test_an_error_in_a_child_identity_surfaces_here(monkeypatch, two_cpus):
+    # the check raises in the child and again where it reruns here; main lets
+    # the error through, as it does with the suite in one process
+    from degenums import audit
+
+    forks = []
+    _record_forks(monkeypatch, forks)
+    monkeypatch.setattr(audit, "log_lambda_series", lambda order: _raise())
+    with pytest.raises(RuntimeError, match="no log series"):
+        main(["verify"])
+    assert forks == ["fork"]
+    _no_child_left()
+
+
+def test_an_error_in_a_child_identity_exits_1_with_a_traceback():
+    # the console script, where the error is Python's own: a traceback and status 1
+    code = (
+        "from degenums import audit, cli\n"
+        "def no_log_series(order):\n"
+        "    raise RuntimeError('no log series')\n"
+        "audit.log_lambda_series = no_log_series\n"
+        "cli.console_main()\n"
+    )
+    proc = _console([sys.executable, "-c", code, "verify"], stdout=subprocess.PIPE)
+    assert proc.returncode == 1 and proc.stdout == b""
+    err = proc.stderr.decode()
+    assert err.startswith("Traceback") and err.endswith("RuntimeError: no log series\n")
 
 
 # -- console entry point ---------------------------------------------------------------
