@@ -4,12 +4,13 @@ Two jobs live here.  ``run_identity_suite`` evaluates every bundled identity
 over configurable ranges, each by two or more independent computation paths,
 and reports one pass/fail result per identity; on two CPUs one forked child
 checks a fixed part of the registry (``_CHILD_IDENTITIES``) and sends back
-one byte per verdict, so each identity still runs once, in one of the two
-processes.  ``audit_printed_matrices`` recomputes a transcribed corpus of
-printed reference versions of three example table runs (kind B with the
-three bundled seeds) and reports a per-entry match flag; several printed
-interior entries disagree with the recurrence, so mismatches are findings to
-report, never failures.
+its verdicts through ``_split_map``, the helper the CLI renders large tables
+with, so each identity still runs once, in one of the two processes.
+``audit_printed_matrices`` recomputes a transcribed corpus of printed
+reference versions of three example table runs (kind B with the three
+bundled seeds) and reports a per-entry match flag; several printed interior
+entries disagree with the recurrence, so mismatches are findings to report,
+never failures.
 
 The oracles at the bottom (classical weight-free tables, basis-expansion
 Stirling numbers) are deliberately separate code paths from the modules they
@@ -486,47 +487,64 @@ _CHILD_IDENTITIES = (
 )
 
 
-def _fork_child(child_work, parent_work):
-    """Run ``child_work(pipe)`` in one forked child, writing to a pipe, while
-    this process runs ``parent_work(pipe)`` on its read end; return
-    (parent_work's result, the child's exit status), or None where nothing
-    forks: without os.fork or where it fails, on one CPU, or beside other
-    threads, whose locks a forked child could inherit held.  The child leaves
-    through os._exit on every path, status 0 once child_work returns, so it
-    never flushes the buffers it inherited; it is reaped on every path."""
-    if not hasattr(os, "fork"):
-        return None
+def _split_map(work, items, theirs):
+    """Yield ``work(item)``, a str, for every item in order.  On two CPUs one
+    forked child computes the items at the indices in ``theirs`` (ascending)
+    and streams each result back as an 8-byte length and its UTF-8 text,
+    while this process computes the others; a result of the child's is read
+    only when its turn comes, so at most one is held here.  Any result the
+    child has not sent in full (it raised, left early or was cut short) is
+    computed here; one received in full is used, whatever the child's exit
+    status.  Everything is computed here where ``theirs`` is empty or
+    nothing forks: where the platform cannot fork, where the pipe or the fork
+    fails, on one CPU, or beside other threads, whose locks a forked child
+    could inherit held.  The child leaves through os._exit on every path, so
+    it never flushes the buffers it inherited; it is reaped on every path."""
+    pid, ends = None, ()
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    if (cpus or 1) < 2:
-        return None
-    import threading  # only once the rest holds; the CLI's start-up does not load it
+    if theirs and hasattr(os, "fork") and (cpus or 1) >= 2:
+        import threading  # only once the rest holds; the CLI's start-up does not load it
 
-    if threading.active_count() > 1:
-        return None
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        return None
+        try:
+            if threading.active_count() == 1:
+                ends = os.pipe()
+                pid = os.fork()
+        except OSError:
+            for end in ends:
+                os.close(end)
+    if pid is None:
+        yield from map(work, items)
+        return
+    read_end, write_end = ends
     if pid == 0:
         status = 1
         try:
             os.close(read_end)
             with open(write_end, "wb") as pipe:
-                child_work(pipe)
+                for i, item in enumerate(items):
+                    if i in theirs:
+                        data = work(item).encode()
+                        pipe.write(len(data).to_bytes(8, "big"))
+                        pipe.write(data)
+                        pipe.flush()
             status = 0
         finally:
             os._exit(status)
     os.close(write_end)
-    pipe = open(read_end, "rb")
     try:
-        result = parent_work(pipe)
+        with open(read_end, "rb") as pipe:
+            for i, item in enumerate(items):
+                if i in theirs:
+                    head = pipe.read(8)
+                    # a short head means the pipe is at its end, where read(-1) gives b""
+                    size = int.from_bytes(head, "big") if len(head) == 8 else -1
+                    data = pipe.read(size)
+                    if len(data) == size:
+                        yield data.decode()
+                        continue
+                yield work(item)
     finally:
-        pipe.close()
-        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    return result, status
+        os.waitpid(pid, 0)
 
 
 def run_identity_suite(
@@ -535,12 +553,11 @@ def run_identity_suite(
     """Evaluate every registered identity; each result records the range cap
     actually tested and whether every comparison held exactly.
 
-    On two CPUs a forked child checks the identities of ``_CHILD_IDENTITIES``
-    and sends one byte per verdict while this process checks the rest; each
-    identity runs in exactly one of the two, and the results come back in
-    registry order.  A child that fails or sends too few bytes has its
-    identities checked again here, so an error in one surfaces here.  Where
-    nothing forks (see ``_fork_child``) every identity runs here.
+    The identities of ``_CHILD_IDENTITIES`` run last, through ``_split_map``:
+    on two CPUs a forked child checks them while this process checks the
+    rest, each verdict crossing the pipe as "1" or "0".  Each identity runs
+    once, here unless the child sent its verdict in full, so an error in one
+    surfaces here; the results come back in registry order.
 
     ``inject_fault`` is the test hook: naming an identity flips one
     coefficient of its first computed value, which must surface as a failed
@@ -552,34 +569,19 @@ def run_identity_suite(
         raise ValueError(f"unknown identity for fault injection: {inject_fault!r}")
     sizes = {"nmax": nmax, "order": order}
 
-    def checked(row) -> IdentityResult:
+    def checked(row) -> str:
         name, size, limit, check = row
-        cap = min(sizes[size], limit)
-        pairs = check(cap)
+        pairs = check(min(sizes[size], limit))
         if name == inject_fault and pairs:
             lhs, rhs = pairs[0]
             pairs[0] = (lhs + 1, rhs)
-        return IdentityResult(name, cap, all(lhs == rhs for lhs, rhs in pairs))
+        return "1" if all(lhs == rhs for lhs, rhs in pairs) else "0"
 
-    theirs = [row for row in _IDENTITY_REGISTRY if row[0] in _CHILD_IDENTITIES]
-
-    def send_verdicts(pipe) -> None:
-        pipe.write(bytes(checked(row).passed for row in theirs))
-
-    def check_ours(pipe):
-        ours = {row[0]: checked(row) for row in _IDENTITY_REGISTRY if row not in theirs}
-        return ours, pipe.read(len(theirs))
-
-    forked = _fork_child(send_verdicts, check_ours)
-    if forked is None:
-        return tuple(map(checked, _IDENTITY_REGISTRY))
-    (results, verdicts), status = forked
-    if status or len(verdicts) < len(theirs):
-        # the child failed: its identities run here, where an error surfaces
-        results.update((row[0], checked(row)) for row in theirs)
-    else:
-        results.update(
-            (name, IdentityResult(name, min(sizes[size], limit), verdict == 1))
-            for (name, size, limit, _), verdict in zip(theirs, verdicts)
-        )
-    return tuple(results[name] for name in IDENTITY_NAMES)
+    rows = sorted(_IDENTITY_REGISTRY, key=lambda row: row[0] in _CHILD_IDENTITIES)
+    theirs = range(len(rows) - len(_CHILD_IDENTITIES), len(rows))
+    verdicts = _split_map(checked, rows, theirs)
+    passed = {row[0]: verdict == "1" for row, verdict in zip(rows, verdicts)}
+    return tuple(
+        IdentityResult(name, min(sizes[size], limit), passed[name])
+        for name, size, limit, _ in _IDENTITY_REGISTRY
+    )

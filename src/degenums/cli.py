@@ -11,20 +11,20 @@ write, so a table is never held as text.  A symbolic ``matrix`` table or
 ``numbers stirling1|stirling2`` triangle of at least ``_FORK_COEFFICIENTS``
 coefficients renders on two processes: one forked child renders the odd rows
 and streams them back, byte-identical and still one row per write.  Smaller
-tables, tables at a rational L, and runs without ``os.fork``, on one CPU or
-beside other threads render in this process.  ``verify`` checks its
-identities on two processes under the same rule, through the same helper
-(``audit._fork_child``), and renders its small report here.  A rational
-substitution for L can be supplied as ``--lambda p/q``; decimals are rejected
-to preserve exactness.  With it, ``numbers`` and ``matrix`` run their
-recurrences at that value directly.
+tables, tables at a rational L, and runs that cannot fork or open a pipe,
+or that run on one CPU or beside other threads, render in this process.
+``verify`` checks its identities on two processes under the same rule,
+through the same helper (``audit._split_map``), and renders its small report
+here.  A rational substitution for L can be supplied as ``--lambda p/q``;
+decimals are rejected to preserve exactness.  With it, ``numbers`` and
+``matrix`` run their recurrences at that value directly.
 Sizes are bounded: ``numbers --nmax`` and ``matrix --rows`` in 0..200,
 ``verify --nmax`` and ``--order`` in 0..30, custom seed degrees in L to 200.
 
 Exit statuses: 0 success, 1 verification failure, 2 usage or input error
-or output that cannot be written (a closed stdout, a full device, a failed
-forked renderer), with one ``error:`` line on stderr, and 141 when the reader
-closes stdout early (128 + SIGPIPE), with nothing on stderr.
+or output that cannot be written (a closed stdout, a full device), with one
+``error:`` line on stderr, and 141 when the reader closes stdout early
+(128 + SIGPIPE), with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from typing import TextIO
 
 from . import numbers as num
 from .algorithms import SequenceSpec, build_table
-from .audit import _fork_child, audit_printed_matrices, run_identity_suite
+from .audit import _split_map, audit_printed_matrices, run_identity_suite
 from .exact import LAM, LambdaPoly, Value, format_rat, parse_rat
 
 __all__ = ["OutputRecord", "build_parser", "main", "console_main"]
@@ -212,7 +212,7 @@ def _cmd_audit(args: argparse.Namespace) -> OutputRecord:
 
 # -- rendering ---------------------------------------------------------------
 
-# A table of at least this many coefficients (len(_num) per LambdaPoly, 1 per
+# A table of at least this many coefficients (degree + 1 per LambdaPoly, 1 per
 # Fraction) renders its odd rows in one forked child.  Measured on a 2-CPU
 # host, flat output to /dev/null: the fork and the pipe cost about 4 ms (1,542
 # coefficients took 5.4 ms forked, 1.7 ms in process), they broke even near
@@ -240,46 +240,16 @@ def _write_rows(rows, row_text, out: TextIO, first: str = "", between: str = "")
     """Write ``row_text(n, row)`` of each row in one write, ``first`` before
     row 0 and ``between`` before each later row.  A table of at least
     ``_FORK_COEFFICIENTS`` coefficients renders its odd rows in a forked child
-    (see ``audit._fork_child``), which sends each as an 8-byte length and its
-    UTF-8 text: in row order this process writes its own row, then reads the
-    child's next row and writes it, so the two run in lockstep and at most one
-    of the child's rows is held here.  A child that stops early or fails is an
-    output error (ChildProcessError)."""
-
-    def send_odd_rows(pipe) -> None:
-        for n in range(1, len(rows), 2):
-            data = row_text(n, rows[n]).encode()
-            pipe.write(len(data).to_bytes(8, "big"))
-            pipe.write(data)
-            pipe.flush()
-
-    def write_in_lockstep(pipe) -> bool:
-        for n, row in enumerate(rows):
-            if n % 2 == 0:
-                text = row_text(n, row)
-            else:
-                head = pipe.read(8)
-                size = int.from_bytes(head, "big")
-                data = pipe.read(size)
-                if len(head) < 8 or len(data) < size:
-                    return False
-                text = data.decode()
-            out.write(between if n else first)
-            out.write(text)
-        return True
-
-    count = sum(len(v._num) if isinstance(v, LambdaPoly) else 1 for row in rows for v in row)
-    forked = _fork_child(send_odd_rows, write_in_lockstep) if count >= _FORK_COEFFICIENTS else None
-    if forked is None:
-        for n, row in enumerate(rows):
-            out.write(between if n else first)
-            out.write(row_text(n, row))
-        return
-    complete, status = forked
-    if not complete or status:
-        raise ChildProcessError(
-            f"cannot write the output: the process rendering the odd rows exited with status {status}"
-        )
+    (see ``audit._split_map``), which streams each back as its text: in row
+    order this process writes its own row, then the child's next one, so at
+    most one of the child's rows is held here.  A row the child does not send
+    in full is rendered here, so the output is the same bytes either way."""
+    count = sum(v.degree + 1 if isinstance(v, LambdaPoly) else 1 for row in rows for v in row)
+    theirs = range(1, len(rows), 2) if count >= _FORK_COEFFICIENTS else ()
+    texts = _split_map(lambda n: row_text(n, rows[n]), range(len(rows)), theirs)
+    for n, text in enumerate(texts):
+        out.write(between if n else first)
+        out.write(text)
 
 
 def _write_json(value: object, out: TextIO, pad: str) -> None:
@@ -438,8 +408,7 @@ def main(argv: list[str] | None = None) -> int:
         finally:
             if limit:
                 sys.set_int_max_str_digits(limit)
-    except (ValueError, ChildProcessError) as exc:
-        # input errors come before any output; a failed row renderer after some
+    except ValueError as exc:  # input errors, before any output
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if failed:

@@ -528,23 +528,63 @@ def test_an_injected_fault_fails_in_either_process(name, forks, monkeypatch):
     assert [n for n, _, passed in forked if not passed] == [name]
 
 
-def test_a_child_that_exits_nonzero_after_its_verdicts_is_checked_again(monkeypatch, forks):
-    # every verdict arrives, but the child's status is 3: its identities run
-    # here, exp_log_compositional_inverse among them
+def _log_series_here(monkeypatch):
+    # the orders log_L(1+t) is built at in this process; only
+    # exp_log_compositional_inverse, one of the child's four, reads it
     from degenums import audit
 
-    pid, real_exit, real_log = os.getpid(), os._exit, audit.log_lambda_series
-    here = []
+    pid, real, here = os.getpid(), audit.log_lambda_series, []
 
     def log_series(order):
         if os.getpid() == pid:
             here.append(order)
-        return real_log(order)
+        return real(order)
 
-    monkeypatch.setattr(os, "_exit", lambda status: real_exit(status if os.getpid() == pid else 3))
     monkeypatch.setattr(audit, "log_lambda_series", log_series)
-    assert all(r.passed for r in run_identity_suite(12, 12))
+    return here
+
+
+def test_a_child_that_leaves_after_two_verdicts_has_the_rest_checked_here(monkeypatch, forks):
+    # the child leaves as its third identity, ogf_egf_transforms, starts: its
+    # first two verdicts are used, the third and fourth identities run here,
+    # and the report is the same
+    from degenums import audit
+
+    expected = _tuples(run_identity_suite(12, 12))
+    forks.clear()
+    pid, here, ran_here = os.getpid(), _log_series_here(monkeypatch), []
+
+    def watched(name, check):
+        def checked(cap):
+            if os.getpid() == pid:
+                ran_here.append(name)
+            elif name == "ogf_egf_transforms":
+                os._exit(1)
+            return check(cap)
+
+        return checked
+
+    registry = tuple(
+        (name, size, limit, watched(name, check))
+        for name, size, limit, check in audit._IDENTITY_REGISTRY
+    )
+    monkeypatch.setattr(audit, "_IDENTITY_REGISTRY", registry)
+    assert _tuples(run_identity_suite(12, 12)) == expected
     assert forks == [1] and here == [12]
+    assert [n for n in ran_here if n in audit._CHILD_IDENTITIES] == [
+        "ogf_egf_transforms",
+        "exp_log_compositional_inverse",
+    ]
+
+
+def test_a_child_that_exits_nonzero_after_all_its_verdicts_is_not_checked_again(monkeypatch, forks):
+    # every verdict arrives in full, then the child's status is 3: each is
+    # used, and none of the child's identities runs here
+    pid, real_exit = os.getpid(), os._exit
+    here = _log_series_here(monkeypatch)
+    monkeypatch.setattr(os, "_exit", lambda status: real_exit(status if os.getpid() == pid else 3))
+    assert all(r.passed for r in run_identity_suite(12, 12))
+    assert forks == [1] and here == []
 
 
 def test_identity_suite_degenerate_ranges():

@@ -851,26 +851,61 @@ def test_a_large_table_beside_another_thread_renders_in_this_process(monkeypatch
     assert not thread.is_alive()
 
 
+@pytest.mark.parametrize("failure", ["render_raises", "exits_after_two_rows"])
 @pytest.mark.parametrize("fmt", ["structured", "flat"])
-def test_a_failed_row_renderer_exits_2_with_one_error_line(fmt, monkeypatch, two_cpus):
-    # the child renders every odd row; here each of its renders raises
-    pid, render = os.getpid(), LambdaPoly.render
+def test_rows_the_child_does_not_send_are_rendered_here(fmt, failure, monkeypatch, two_cpus):
+    # a failed child changes neither the bytes nor the exit status: each odd
+    # row it has not sent in full is rendered here, and each it sent is used
+    from degenums import cli
 
-    def render_here_only(self):
-        if os.getpid() != pid:
-            raise RuntimeError("no render in the child")
-        return render(self)
+    argv = _LARGE_TABLES[0]
+    pid, here, forks = os.getpid(), [], []
+    if failure == "render_raises":
+        render = LambdaPoly.render
 
-    monkeypatch.setattr(LambdaPoly, "render", render_here_only)
-    status, out, err = _capture(["matrix", "B", "--rows", "60", "--format", fmt])
-    assert status == 2
-    (line,) = err.splitlines()
-    assert line.startswith("error: cannot write the output: ") and "status 1" in line
-    if fmt == "flat":  # row 0, then nothing
-        assert out and all(line.startswith("0\t") for line in out.splitlines())
+        def render_here_only(self):
+            if os.getpid() != pid:
+                raise RuntimeError("no render in the child")
+            return render(self)
+
+        monkeypatch.setattr(LambdaPoly, "render", render_here_only)
     else:
-        with pytest.raises(json.JSONDecodeError):
-            json.loads(out)
+        name = "_flat_row" if fmt == "flat" else "_json_row"
+        row_text, sent = getattr(cli, name), []
+
+        def leaves_at_its_third_row(*args):
+            if os.getpid() == pid:
+                here.append(1)
+            else:
+                sent.append(1)
+                if len(sent) == 3:
+                    os._exit(1)
+            return row_text(*args)
+
+        monkeypatch.setattr(cli, name, leaves_at_its_third_row)
+    _record_forks(monkeypatch, forks)
+    assert _capture(argv + ["--format", fmt]) == (0, _expected_outputs(argv)[fmt], "")
+    assert forks == ["fork"]
+    if failure == "exits_after_two_rows":  # rows 1 and 3 from the child, 59 of 61 here
+        assert len(here) == 59
+    _no_child_left()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--nmax", "4", "--order", "4"], ["matrix", "B", "--rows", "60", "--format", "flat"]],
+    ids=" ".join,
+)
+def test_a_failed_pipe_runs_in_this_process(argv, monkeypatch, two_cpus):
+    # os.pipe failing is a fork that did not happen: the same bytes, status 0
+    expected = _capture(argv)
+
+    def no_pipe():
+        raise OSError(24, "Too many open files")
+
+    monkeypatch.setattr(os, "pipe", no_pipe)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    assert _capture(argv) == expected and expected[0] == 0 and expected[2] == ""
     _no_child_left()
 
 
