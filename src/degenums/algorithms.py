@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Iterator
 from fractions import Fraction
 
 from .exact import (
@@ -45,6 +46,7 @@ __all__ = [
     "SequenceSpec",
     "AlgorithmTable",
     "build_table",
+    "table_rows",
     "final_sequence",
     "closed_form_final_sequence",
     "transform_check",
@@ -157,20 +159,26 @@ def build_table(kind: str, seed: SequenceSpec, rows: int, lam: Value = LAM) -> A
     kept = _kept_runs.get(key)
     if kept is not None and rows <= kept.row_count:
         return AlgorithmTable(tuple(kept.rows[n][: rows + 1 - n] for n in range(rows + 1)))
-    shift = 0 if kind == "B" else 1
-    table: list[tuple[Value, ...]] = [tuple(seed.values(rows + 1, lam))]
-    for n in range(1, rows + 1):
-        prev = table[-1]
-        table.append(
-            tuple(
-                times_linear_add(prev[m], m + shift, 1 - n, prev[m + 1], -(m + 1), lam)
-                for m in range(len(prev) - 1)
-            )
-        )
-    run = AlgorithmTable(tuple(table))
+    run = AlgorithmTable(tuple(table_rows(kind, seed.values(rows + 1, lam), lam)))
     if key is not None:
         _kept_runs[key] = run
     return run
+
+
+def table_rows(kind: str, first: list[Value], lam: Value = LAM) -> Iterator[tuple[Value, ...]]:
+    """The rows of the run of ``kind`` ("B" or "A", not checked here) from
+    row 0 ``first`` at L = lam, one at a time: row n, of len(first) - n
+    cells, is built from row n - 1 only when it is asked for.  ``build_table``
+    keeps every row; a caller that needs each row once holds one at a time."""
+    shift = 0 if kind == "B" else 1
+    prev = tuple(first)
+    yield prev
+    for n in range(1, len(prev)):
+        prev = tuple(
+            times_linear_add(prev[m], m + shift, 1 - n, prev[m + 1], -(m + 1), lam)
+            for m in range(len(prev) - 1)
+        )
+        yield prev
 
 
 def final_sequence(table: AlgorithmTable) -> list[Value]:

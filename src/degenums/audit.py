@@ -19,6 +19,7 @@ check.
 
 from __future__ import annotations
 
+import marshal
 import math
 import os
 from collections import namedtuple
@@ -487,63 +488,99 @@ _CHILD_IDENTITIES = (
 )
 
 
-def _split_map(work, items, theirs):
+def _record(offset: int, size: int) -> bytes:
+    return (offset << 64 | size).to_bytes(16, "big")
+
+
+def _split_map(work, items, theirs, pack, unpack):
     """Yield ``work(item)``, a str, for every item in order.  On two CPUs one
-    forked child computes the items at the indices in ``theirs`` (ascending)
-    and streams each result back as an 8-byte length and its UTF-8 text,
-    while this process computes the others; a result of the child's is read
-    only when its turn comes, so at most one is held here.  Any result the
-    child has not sent in full (it raised, left early or was cut short) is
-    computed here; one received in full is used, whatever the child's exit
-    status.  Everything is computed here where ``theirs`` is empty or
-    nothing forks: where the platform cannot fork, where the pipe or the fork
+    child, forked before the first item is taken, computes the items at the
+    indices in ``theirs`` (any container): this process takes every item
+    from ``items`` and ships each of the child's as the ``marshal`` bytes of
+    ``pack(item)`` into one anonymous memory file, and the child writes the
+    UTF-8 text of ``work(unpack(data))`` into a second.  Each pipe between
+    the two carries only 16-byte (offset, length) records, one per item; a
+    one-page pipe holds 256, more than any caller's child items, so no
+    write waits for its reader.  This process takes all the items first,
+    keeping its own (and any whose write to the child fails), then computes
+    its own in order and reads each of the child's texts when its turn
+    comes.  Any item the child did not send back in full (it raised, left
+    early or was cut short) is computed here from the bytes shipped; one
+    sent in full is used, whatever the child's exit status.  Everything is
+    computed here where ``theirs`` is empty or nothing forks: where the
+    platform cannot fork or make a memory file, where one of those or a pipe
     fails, on one CPU, or beside other threads, whose locks a forked child
     could inherit held.  The child leaves through os._exit on every path, so
-    it never flushes the buffers it inherited; it is reaped on every path."""
-    pid, ends = None, ()
+    it never flushes the buffers it inherited.  It is reaped on every path,
+    after this process closes its ends, so a child cut short stops at its
+    next record instead of finishing its items."""
+    pid, fds = None, []
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    if theirs and hasattr(os, "fork") and (cpus or 1) >= 2:
+    if theirs and hasattr(os, "fork") and hasattr(os, "memfd_create") and (cpus or 1) >= 2:
         import threading  # only once the rest holds; the CLI's start-up does not load it
 
         try:
             if threading.active_count() == 1:
-                ends = os.pipe()
+                fds.append(os.memfd_create("items"))
+                fds.append(os.memfd_create("texts"))
+                fds.extend(os.pipe())
+                fds.extend(os.pipe())
                 pid = os.fork()
         except OSError:
-            for end in ends:
-                os.close(end)
+            for fd in fds:
+                os.close(fd)
     if pid is None:
         yield from map(work, items)
         return
-    read_end, write_end = ends
+    items_fd, texts_fd, ship_r, ship_w, back_r, back_w = fds
     if pid == 0:
         status = 1
         try:
-            os.close(read_end)
-            with open(write_end, "wb") as pipe:
-                for i, item in enumerate(items):
-                    if i in theirs:
-                        data = work(item).encode()
-                        pipe.write(len(data).to_bytes(8, "big"))
-                        pipe.write(data)
-                        pipe.flush()
+            os.close(ship_w)
+            os.close(back_r)
+            end = 0
+            while len(record := os.read(ship_r, 16)) == 16:
+                offset, size = divmod(int.from_bytes(record, "big"), 1 << 64)
+                text = work(unpack(marshal.loads(os.pread(items_fd, size, offset)))).encode()
+                os.pwrite(texts_fd, text, end)
+                os.write(back_w, _record(end, len(text)))
+                end += len(text)
             status = 0
         finally:
             os._exit(status)
-    os.close(write_end)
+    os.close(ship_r)
+    os.close(back_w)
+    held, shipped, end = {}, {}, 0
     try:
-        with open(read_end, "rb") as pipe:
+        # closed once every item is taken, so the child leaves after its last
+        with open(ship_w, "wb", buffering=0) as ship:
             for i, item in enumerate(items):
                 if i in theirs:
-                    head = pipe.read(8)
-                    # a short head means the pipe is at its end, where read(-1) gives b""
-                    size = int.from_bytes(head, "big") if len(head) == 8 else -1
-                    data = pipe.read(size)
-                    if len(data) == size:
-                        yield data.decode()
-                        continue
-                yield work(item)
+                    try:
+                        data = marshal.dumps(pack(item))
+                        if os.pwrite(items_fd, data, end) == len(data):
+                            ship.write(_record(end, len(data)))
+                            shipped[i], end = (end, len(data)), end + len(data)
+                            continue
+                    except OSError:  # kept here, as is an item written short
+                        pass
+                held[i] = item
+        for i in range(len(held) + len(shipped)):
+            if i in held:
+                yield work(held.pop(i))
+                continue
+            record = os.read(back_r, 16)
+            if len(record) == 16:
+                offset, size = divmod(int.from_bytes(record, "big"), 1 << 64)
+                text = os.pread(texts_fd, size, offset)
+                if len(text) == size:
+                    yield text.decode()
+                    continue
+            offset, size = shipped[i]
+            yield work(unpack(marshal.loads(os.pread(items_fd, size, offset))))
     finally:
+        for fd in (back_r, items_fd, texts_fd):
+            os.close(fd)
         os.waitpid(pid, 0)
 
 
@@ -579,7 +616,8 @@ def run_identity_suite(
 
     rows = sorted(_IDENTITY_REGISTRY, key=lambda row: row[0] in _CHILD_IDENTITIES)
     theirs = range(len(rows) - len(_CHILD_IDENTITIES), len(rows))
-    verdicts = _split_map(checked, rows, theirs)
+    by_name = {row[0]: row for row in rows}
+    verdicts = _split_map(checked, rows, theirs, lambda row: row[0], by_name.__getitem__)
     passed = {row[0]: verdict == "1" for row, verdict in zip(rows, verdicts)}
     return tuple(
         IdentityResult(name, min(sizes[size], limit), passed[name])

@@ -8,15 +8,19 @@ tab-separated table with ``--format flat``; every polynomial uses the
 canonical text rendering.  An ``OutputRecord`` payload holds the exact
 values, not their text: each value is rendered as it is written, one row per
 write, so a table is never held as text.  A symbolic ``matrix`` table or
-``numbers stirling1|stirling2`` triangle of at least ``_FORK_COEFFICIENTS``
-coefficients renders on two processes: one forked child renders the odd rows
-and streams them back, byte-identical and still one row per write.  Smaller
-tables, tables at a rational L, and runs that cannot fork or open a pipe,
-or that run on one CPU or beside other threads, render in this process.
-``verify`` checks its identities on two processes under the same rule,
-through the same helper (``audit._split_map``), and renders its small report
-here.  A rational substitution for L can be supplied as ``--lambda p/q``;
-decimals are rejected to preserve exactness.  With it, ``numbers`` and
+``numbers stirling1|stirling2`` triangle whose coefficients, bounded from the
+request and row 0, reach ``_FORK_COEFFICIENTS`` forks one child before its
+recurrence: this process runs the recurrence, ships two rows in three to the
+child as integers through a memory file and renders the third, and the child
+renders the rows it is shipped; the output is byte-identical and still one
+row per write.  Smaller tables and tables at a rational L are built whole and
+render here, as does every row where nothing forks: where the platform
+cannot fork or make a memory file, where either fails or a pipe does, on one
+CPU, or beside other threads.  ``verify`` checks its identities on two
+processes under the same rule, through the same helper
+(``audit._split_map``), and renders its small report here.  A rational
+substitution for L can be supplied as ``--lambda p/q``; decimals are
+rejected to preserve exactness.  With it, ``numbers`` and
 ``matrix`` run their recurrences at that value directly.
 Sizes are bounded: ``numbers --nmax`` and ``matrix --rows`` in 0..200,
 ``verify --nmax`` and ``--order`` in 0..30, custom seed degrees in L to 200.
@@ -39,7 +43,7 @@ from fractions import Fraction
 from typing import TextIO
 
 from . import numbers as num
-from .algorithms import SequenceSpec, build_table
+from .algorithms import SequenceSpec, build_table, table_rows
 from .audit import _split_map, audit_printed_matrices, run_identity_suite
 from .exact import LAM, LambdaPoly, Value, format_rat, parse_rat
 
@@ -146,8 +150,11 @@ def _cmd_numbers(args: argparse.Namespace) -> OutputRecord:
         "lambda": lam,
     }
     if args.family in _TRIANGLE_FAMILIES:
-        table = _TRIANGLE_FAMILIES[args.family](args.nmax, point)
-        payload["rows"] = table.entries
+        n = args.nmax
+        if lam is None and _triangle_coefficients(n) >= _FORK_COEFFICIENTS:
+            payload["rows"] = _Stream(num.triangle_rows(n, args.family == "stirling1"), n + 1)
+        else:
+            payload["rows"] = _TRIANGLE_FAMILIES[args.family](n, point).entries
     else:
         payload["values"] = _SEQUENCE_FAMILIES[args.family](args.nmax, point)
     return OutputRecord("number_table", payload)
@@ -163,13 +170,17 @@ def _cmd_matrix(args: argparse.Namespace) -> OutputRecord:
         seed = _load_custom_seed(args.custom_file, args.rows + 1)
     else:
         seed = _SEED_NAMES[args.seed]()
-    table = build_table(args.kind, seed, args.rows, point)
+    table = None
+    if lam is None:  # a table at a rational L has at most 20,301 cells
+        first = seed.values(args.rows + 1)  # row 0: a short custom seed raises here
+        if _run_coefficients(first) >= _FORK_COEFFICIENTS:
+            table = _Stream(table_rows(args.kind, first), args.rows + 1)
     payload = {
         "algorithm": args.kind,
         "seed": args.seed,
         "rows": args.rows,
         "lambda": lam,
-        "table": table.rows,
+        "table": table or build_table(args.kind, seed, args.rows, point).rows,
     }
     return OutputRecord("matrix", payload)
 
@@ -212,16 +223,50 @@ def _cmd_audit(args: argparse.Namespace) -> OutputRecord:
 
 # -- rendering ---------------------------------------------------------------
 
-# A table of at least this many coefficients (degree + 1 per LambdaPoly, 1 per
-# Fraction) renders its odd rows in one forked child.  Measured on a 2-CPU
-# host, flat output to /dev/null: the fork and the pipe cost about 4 ms (1,542
-# coefficients took 5.4 ms forked, 1.7 ms in process), they broke even near
-# 12,000 coefficients, and from 50,000 up the forked render took 0.65-0.88 of
-# the in-process time.  The margin over break even keeps a fork paying in a
-# larger process or on a busy second CPU.  It also keeps `matrix B --rows 40`
-# (23,821) in process, and every table at a rational L: those hold at most
-# 20,301 cells at the 200 ceilings.
+# A symbolic table of at least this many coefficients (degree + 1 per cell)
+# forks before its recurrence: the commands that forked when the count was
+# taken from the built table, which the tests pin.  Measured on a 2-CPU host,
+# flat output to /dev/null, fresh processes, medians of 11 alternated runs,
+# each against the same command on one CPU, where its rows stream through one
+# process: at the bound a fork does not pay, `matrix B --seed half --rows 66`
+# (50,183 coefficients) took 1.14 of that time and `--seed bernoulli --rows
+# 52` (51,039) 1.05; `--seed half --rows 100` (171,801) took 0.80, `--seed
+# bernoulli --rows 80` (180,441) 0.57, `--rows 100` (348,551) 0.77 and `--seed
+# half --rows 200` (1,353,601; 3 runs) 0.72.  Every table at a rational L
+# stays in process: at most 20,301 cells at the 200 ceilings.
 _FORK_COEFFICIENTS = 50_000
+
+# The rows of a table that renders on two processes: ``rows`` yields its
+# ``count`` rows, each built only when it is asked for.
+_Stream = namedtuple("_Stream", "rows count")
+
+
+def _triangle_coefficients(nmax: int) -> int:
+    # of either symbolic triangle: S(n, k) has degree n - k in L, and S(n, 0) = 0 for n > 0
+    return nmax * (nmax + 1) * (nmax + 2) // 6 + 1
+
+
+def _run_coefficients(first) -> int:
+    """The coefficients of the symbolic run from row 0 ``first``, bounded
+    from its degrees in L and counted up to ``_FORK_COEFFICIENTS``.  Cell
+    (n, m) of a run with n > 0 is sum_k S2_L(n, k) T(k, m) over k = 1..n,
+    where S2_L(n, k) has degree n - k and T(k, m), a cell of the run with 1
+    put for L in its weights, at most the largest degree d among entries
+    m..m+k of row 0; so it has degree at most n + max_k (d - k), over the k
+    whose entries are not all zero.  The bound is the count for the bundled
+    seeds, except where kind B of the half seed cancels; it decides as the
+    count does for every bundled run of 0..200 rows."""
+    none = -2 * len(first) - 2  # the degree of zero: below every bound
+    degrees = [v.degree if v.degree >= 0 else none for v in first]
+    total = sum(d + 1 for d in degrees if d >= 0)
+    top, best = degrees, [none] * len(first)
+    for n in range(1, len(first)):
+        if total >= _FORK_COEFFICIENTS:
+            break
+        top = list(map(max, top, degrees[n:]))  # max of entries m..m+n
+        best = list(map(max, best, (d - n for d in top)))  # max_k (d - k), k <= n
+        total += sum(n + 1 + b for b in best if b >= -n)
+    return total
 
 
 def _json_row(row, pad: str) -> str:
@@ -236,20 +281,34 @@ def _flat_row(n: int, row) -> str:
     return "".join(f"{n}\t{k}\t{_fmt(v)}\n" for k, v in enumerate(row))
 
 
+def _pack_row(item) -> tuple:
+    n, row = item
+    return n, tuple(v.parts() for v in row)
+
+
+def _unpack_row(data) -> tuple:
+    n, row = data
+    return n, tuple(LambdaPoly.from_parts(*cell) for cell in row)
+
+
 def _write_rows(rows, row_text, out: TextIO, first: str = "", between: str = "") -> None:
     """Write ``row_text(n, row)`` of each row in one write, ``first`` before
-    row 0 and ``between`` before each later row.  A table of at least
-    ``_FORK_COEFFICIENTS`` coefficients renders its odd rows in a forked child
-    (see ``audit._split_map``), which streams each back as its text: in row
-    order this process writes its own row, then the child's next one, so at
-    most one of the child's rows is held here.  A row the child does not send
-    in full is rendered here, so the output is the same bytes either way."""
-    count = sum(v.degree + 1 if isinstance(v, LambdaPoly) else 1 for row in rows for v in row)
-    theirs = range(1, len(rows), 2) if count >= _FORK_COEFFICIENTS else ()
-    texts = _split_map(lambda n: row_text(n, rows[n]), range(len(rows)), theirs)
-    for n, text in enumerate(texts):
-        out.write(between if n else first)
-        out.write(text)
+    row 0 and ``between`` before each later row.  The rows of a ``_Stream``
+    render on two processes (see ``audit._split_map``): this process runs the
+    recurrence and renders rows 0, 3, 6, ..., and a child forked before row 1
+    renders the others from the integers this process ships it.  A row the
+    child does not send back in full is rendered here, so the output is the
+    same bytes either way."""
+    theirs = ()
+    if isinstance(rows, _Stream):
+        rows, theirs = rows.rows, {n for n in range(rows.count) if n % 3}
+    texts = _split_map(lambda item: row_text(*item), enumerate(rows), theirs, _pack_row, _unpack_row)
+    try:
+        for n, text in enumerate(texts):
+            out.write(between if n else first)
+            out.write(text)
+    finally:
+        texts.close()  # a failed write reaps the child now, not when the traceback goes
 
 
 def _write_json(value: object, out: TextIO, pad: str) -> None:
@@ -275,7 +334,7 @@ def _write_json(value: object, out: TextIO, pad: str) -> None:
             _write_json(item, out, pad + "  ")
             sep = ","
         out.write(f"\n{pad}]")
-    elif isinstance(value[0], (list, tuple)):  # rows of exact values, one write each
+    elif isinstance(value, _Stream) or isinstance(value[0], (list, tuple)):  # rows, one write each
         row_pad = pad + "  "
         _write_rows(value, lambda n, row: _json_row(row, row_pad), out, "[" + inner, "," + inner)
         out.write(f"\n{pad}]")

@@ -102,6 +102,20 @@ class LambdaPoly:
         object.__setattr__(p, "_den", den // g)
         return p
 
+    def parts(self) -> tuple[tuple[int, ...], int]:
+        """The canonical integers (numerators, denominator), which
+        ``from_parts`` takes back."""
+        return self._num, self._den
+
+    @classmethod
+    def from_parts(cls, nums: tuple[int, ...], den: int) -> "LambdaPoly":
+        """The polynomial of ``parts()``, taken as they are: canonical form
+        is neither checked nor restored."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "_num", nums)
+        object.__setattr__(p, "_den", den)
+        return p
+
     @classmethod
     def constant(cls, value: Scalar) -> "LambdaPoly":
         return cls((value,))

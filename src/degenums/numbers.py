@@ -23,16 +23,18 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Iterator
 from fractions import Fraction
-from itertools import count, repeat
+from itertools import chain, count, repeat
 
-from .exact import LAM, Scalar, Value, as_fraction, linear_products, ring_one, times_linear_add
+from .exact import LAM, ONE, Scalar, Value, as_fraction, linear_products, ring_one, times_linear_add
 from .series import _KEPT_ROWS, StirlingTable
 
 __all__ = [
     "StirlingTable",
     "stirling2_table",
     "stirling1_table",
+    "triangle_rows",
     "bernoulli_deg_sequence",
     "euler_deg_sequence",
     "bell_deg_sequence",
@@ -52,22 +54,30 @@ __all__ = [
 _stirling2_rows: dict[Value, list[tuple]] = {}
 
 
+def _stirling_steps(prev: tuple, nmax: int, lam: Value, first: bool) -> Iterator[tuple]:
+    # Rows len(prev)..nmax of the second (or first) kind's triangle, each from
+    # the one before, prev being row len(prev) - 1: entry (n, k) has degree
+    # n - k in L and integer coefficients, so at L = p/q the rows hold the
+    # integers q^(n-k) S(n, k), and the factor k - nL (or kL - n) of each cell
+    # becomes kq - np (or kp - nq); over L, p is LAM and q is 1.
+    p, q = (LAM, 1) if lam is LAM else (lam.numerator, lam.denominator)
+    zero, ones, ps = prev[0] * 0, repeat(1), repeat(p)
+    for n in range(len(prev) - 1, nmax):
+        a, b = (repeat(-n * q), count()) if first else (count(0, q), repeat(-n))
+        prev = (*map(times_linear_add, prev, a, b, (zero,) + prev, ones, ps), prev[n])
+        yield prev
+
+
 def _stirling_rows(nmax: int, lam: Value, first: bool = False) -> list[tuple]:
-    # Rows 0..nmax of the second (or first) kind's triangle: entry (n, k) has
-    # degree n - k in L and integer coefficients, so at L = p/q the rows hold
-    # the integers q^(n-k) S(n, k), and the factor k - nL (or kL - n) of each
-    # cell becomes kq - np (or kp - nq); over L, p is LAM and q is 1.
+    # Rows 0..nmax of the second (or first) kind's triangle, at a rational L
+    # as integers (see _stirling_steps).
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
     one = ring_one(lam)
-    p, q = (LAM, 1) if lam is LAM else (lam.numerator, lam.denominator)
     store = {} if first else _stirling2_rows
     rows = list(store.get(lam, [(one if lam is LAM else 1,)]))
-    kept, zero, ones, ps = len(rows), rows[0][0] * 0, repeat(1), repeat(p)
-    for n in range(kept - 1, nmax):
-        a, b = (repeat(-n * q), count()) if first else (count(0, q), repeat(-n))
-        prev = rows[-1]
-        rows.append((*map(times_linear_add, prev, a, b, (zero,) + prev, ones, ps), prev[n]))
+    kept = len(rows)
+    rows += _stirling_steps(rows[-1], nmax, lam, first)
     if kept < len(rows) <= _KEPT_ROWS:
         if lam not in store and len(store) >= 4:
             store.clear()
@@ -103,6 +113,16 @@ def _stirling2_sums(nmax: int, lam: Value, heads: list, nested: tuple = ()) -> l
     ((a, b), (da, db)), p, q = nested or ((1, 0), (0, 0)), lam.numerator, lam.denominator
     ws = [h * f for h, f in zip(heads, linear_products(a * q + b * p, da * q + db * p, nmax))]
     return _dots(rows, [q**n for n in range(nmax + 1)], ws)
+
+
+def triangle_rows(nmax: int, first: bool = False) -> Iterator[tuple]:
+    """Rows 0..nmax of ``stirling2_table(nmax)`` (``stirling1_table(nmax)``
+    with ``first``), polynomials in L, one at a time: each row is built from
+    the one before only when it is asked for, and none is kept."""
+    if nmax < 0:
+        raise ValueError("nmax must be nonnegative")
+    row = (ONE,)
+    return chain((row,), _stirling_steps(row, nmax, LAM, first))
 
 
 def stirling2_table(nmax: int, lam: Value = LAM) -> StirlingTable:

@@ -605,7 +605,7 @@ class _WriteRecorder(io.StringIO):
 
 @pytest.mark.parametrize("fmt", ["structured", "flat"])
 def test_output_is_written_row_by_row(fmt, two_cpus):
-    # at 100 rows a forked child renders the odd rows, still one write each
+    # at 100 rows a forked child renders two rows in three, still one write each
     for size in (40, 100):
         out = _WriteRecorder()
         with contextlib.redirect_stdout(out):
@@ -701,7 +701,7 @@ def test_a_value_past_the_int_to_text_limit_is_written_whole(argv, seed_text, tm
     assert max(map(len, re.findall(r"\d+", expected[1]))) > 640
 
 
-# -- large tables: the odd rows rendered in a forked child ------------------------------
+# -- large tables: two rows in three rendered in a forked child --------------------------
 
 
 @pytest.fixture
@@ -854,8 +854,8 @@ def test_a_large_table_beside_another_thread_renders_in_this_process(monkeypatch
 @pytest.mark.parametrize("failure", ["render_raises", "exits_after_two_rows"])
 @pytest.mark.parametrize("fmt", ["structured", "flat"])
 def test_rows_the_child_does_not_send_are_rendered_here(fmt, failure, monkeypatch, two_cpus):
-    # a failed child changes neither the bytes nor the exit status: each odd
-    # row it has not sent in full is rendered here, and each it sent is used
+    # a failed child changes neither the bytes nor the exit status: each of
+    # its rows it has not sent in full is rendered here, and each it sent is used
     from degenums import cli
 
     argv = _LARGE_TABLES[0]
@@ -886,7 +886,7 @@ def test_rows_the_child_does_not_send_are_rendered_here(fmt, failure, monkeypatc
     _record_forks(monkeypatch, forks)
     assert _capture(argv + ["--format", fmt]) == (0, _expected_outputs(argv)[fmt], "")
     assert forks == ["fork"]
-    if failure == "exits_after_two_rows":  # rows 1 and 3 from the child, 59 of 61 here
+    if failure == "exits_after_two_rows":  # rows 1 and 2 from the child, 59 of 61 here
         assert len(here) == 59
     _no_child_left()
 
@@ -907,6 +907,138 @@ def test_a_failed_pipe_runs_in_this_process(argv, monkeypatch, two_cpus):
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
     assert _capture(argv) == expected and expected[0] == 0 and expected[2] == ""
     _no_child_left()
+
+
+@pytest.mark.parametrize("fmt", ["structured", "flat"])
+def test_the_forked_renderer_runs_no_recurrence_cell(fmt, monkeypatch, two_cpus):
+    # the child renders rows it never computed: a cell of the recurrence in any
+    # other process ends that process with status 3, and its rows with it
+    from degenums import algorithms, cli
+
+    argv = _LARGE_TABLES[0]
+    expected = _expected_outputs(argv)[fmt]
+    pid, here, forks = os.getpid(), [], []
+    cell = algorithms.times_linear_add
+
+    def cell_here_only(*args):
+        if os.getpid() != pid:
+            os._exit(3)
+        return cell(*args)
+
+    name = "_flat_row" if fmt == "flat" else "_json_row"
+    row_text = getattr(cli, name)
+
+    def counted(*args):
+        if os.getpid() == pid:
+            here.append(1)
+        return row_text(*args)
+
+    monkeypatch.setattr(algorithms, "times_linear_add", cell_here_only)
+    monkeypatch.setattr(cli, name, counted)
+    _record_forks(monkeypatch, forks)
+    assert _capture(argv + ["--format", fmt]) == (0, expected, "")
+    assert forks == ["fork"]
+    assert len(here) < int(argv[5]) + 1
+    _no_child_left()
+
+
+@pytest.mark.parametrize("memfd", ["raises", "absent"])
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--nmax", "4", "--order", "4"], ["matrix", "B", "--rows", "60", "--format", "flat"]],
+    ids=" ".join,
+)
+def test_a_failed_memory_file_runs_in_this_process(argv, memfd, monkeypatch, two_cpus):
+    # like a failed pipe: no fork, the same bytes, status 0; where the second
+    # memory file fails, the first is closed
+    expected, made = _capture(argv), []
+    if memfd == "raises":
+        real = os.memfd_create
+
+        def second_fails(*args, **kwargs):
+            if made:
+                raise OSError(24, "Too many open files")
+            made.append(real(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(os, "memfd_create", second_fails)
+    else:
+        monkeypatch.delattr(os, "memfd_create", raising=False)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    assert _capture(argv) == expected and expected[0] == 0 and expected[2] == ""
+    for fd in made:
+        with pytest.raises(OSError):
+            os.fstat(fd)
+    _no_child_left()
+
+
+class _BrokenAtThirdWrite(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes == 3:
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+
+def test_a_write_that_fails_mid_table_leaves_no_child(monkeypatch, two_cpus):
+    # the error reaches the caller only after the child is reaped, even while
+    # the caller holds its traceback: this process closes its ends first, so
+    # the child stops at its next record
+    forks = []
+    _record_forks(monkeypatch, forks)
+    out = _BrokenAtThirdWrite()
+    with contextlib.redirect_stdout(out), pytest.raises(BrokenPipeError) as raised:
+        main(_LARGE_TABLES[0] + ["--format", "flat"])
+    assert forks == ["fork"] and out.writes == 3
+    _no_child_left()
+    assert raised.value.errno == 32
+
+
+def _coefficients(rows):
+    return sum(v.degree + 1 for row in rows for v in row)
+
+
+@pytest.mark.parametrize("kind", ["A", "B"])
+@pytest.mark.parametrize("seed, last_in_process", [("bernoulli", 51), ("half", 65), ("bell", 65)])
+def test_the_fork_bound_decides_as_the_built_table(kind, seed, last_in_process):
+    # each bundled run of this many rows or fewer stays in one process, and one
+    # row more forks; below the bound it is the built count itself, save where
+    # kind B of the half seed cancels
+    from degenums import cli
+
+    spec = {"bernoulli": SequenceSpec.bernoulli, "half": SequenceSpec.half_powers, "bell": SequenceSpec.bell}[seed]()
+    for rows in (last_in_process, last_in_process + 1):
+        table = build_table(kind, spec, rows).rows
+        count, bound = _coefficients(table), cli._run_coefficients(table[0])
+        forks = rows > last_in_process
+        assert (count >= cli._FORK_COEFFICIENTS) == (bound >= cli._FORK_COEFFICIENTS) == forks
+        if not forks:  # above the bound, the count stops once it is reached
+            assert bound >= count if (kind, seed) == ("B", "half") else bound == count
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from("AB"), st.lists(st.lists(st.fractions(-3, 3, max_denominator=3), max_size=4), min_size=1, max_size=12))
+def test_the_fork_bound_is_at_least_the_count(kind, coeffs):
+    from degenums import cli
+
+    table = build_table(kind, SequenceSpec.custom([LambdaPoly(c) for c in coeffs]), len(coeffs) - 1).rows
+    assert cli._run_coefficients(table[0]) >= _coefficients(table)
+
+
+@pytest.mark.parametrize("nmax", [0, 1, 5, 65, 66])
+def test_the_triangle_bound_is_the_count(nmax):
+    # 65 stays in one process, 66 forks
+    from degenums import cli
+    from degenums.numbers import stirling1_table
+
+    bound = cli._triangle_coefficients(nmax)
+    for table in (stirling1_table(nmax), stirling2_table(nmax)):
+        assert _coefficients(table.entries) == bound
+    assert (bound >= cli._FORK_COEFFICIENTS) == (nmax >= 66)
 
 
 # -- the identity suite's forked child ------------------------------------------------
@@ -995,7 +1127,7 @@ def test_module_invocation_subprocess():
 def test_closed_pipe_exits_141_with_nothing_on_stderr():
     # as `degenums matrix B --rows 40 --format flat | head` does: the reader
     # takes 100 bytes of about 1 MB and closes the pipe; at 100 rows a forked
-    # child renders the odd rows
+    # child renders two rows in three
     src = str(Path(degenums.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     for rows in ("40", "100"):
