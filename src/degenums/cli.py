@@ -8,22 +8,25 @@ tab-separated table with ``--format flat``; every polynomial uses the
 canonical text rendering.  An ``OutputRecord`` payload holds the exact
 values, not their text: each value is rendered as it is written, one row per
 write, so a table is never held as text.  A symbolic ``matrix`` table or
-``numbers stirling1|stirling2`` triangle whose coefficients, bounded from the
-request and row 0, reach ``_FORK_COEFFICIENTS`` forks one child before its
-recurrence: this process runs the recurrence, ships two rows in three to the
-child as integers through a memory file and renders the third, and the child
-renders the rows it is shipped; the output is byte-identical and still one
-row per write.  Smaller tables and tables at a rational L are built whole and
-render here, as does every row where nothing forks: where the platform
-cannot fork or make a memory file, where either fails or a pipe does, on one
-CPU, or beside other threads.  ``verify`` checks its identities on two
-processes under the same rule, through the same helper
-(``audit._split_map``), and renders its small report here.  A rational
-substitution for L can be supplied as ``--lambda p/q``; decimals are
-rejected to preserve exactness.  With it, ``numbers`` and
-``matrix`` run their recurrences at that value directly.
-Sizes are bounded: ``numbers --nmax`` and ``matrix --rows`` in 0..200,
-``verify --nmax`` and ``--order`` in 0..30, custom seed degrees in L to 200.
+``numbers stirling1|stirling2`` triangle whose coefficients, bounded from
+the request and row 0, reach ``_FORK_COEFFICIENTS`` forks one child before
+its recurrence: this process runs the recurrence, ships two rows in three to
+the child as integers through a memory file and renders the third, and the
+child renders the rows it is shipped; the output is byte-identical and still
+one row per write.  The symbolic ``numbers bernoulli|euler|bell`` fork where
+their second-kind triangle does: the rows stream the same way, and each row
+becomes one value (``numbers.row_sums``), summed and rendered where the row
+goes.  Smaller tables, the ``*_at_one`` families and everything at a
+rational L are built whole and render here, as does every row where nothing
+forks: where the platform cannot fork or make a memory file, where either
+fails or a pipe does, on one CPU, or beside other threads.  ``verify``
+checks its identities on two processes under the same rule, through the same
+helper (``audit._split_map``), and renders its small report here.  A
+rational substitution for L can be supplied as ``--lambda p/q``; decimals
+are rejected to preserve exactness.  With it, ``numbers`` and ``matrix`` run
+their recurrences at that value directly.  Sizes are bounded: ``numbers
+--nmax`` and ``matrix --rows`` in 0..200, ``verify --nmax`` and ``--order``
+in 0..30, custom seed degrees in L to 200.
 
 Exit statuses: 0 success, 1 verification failure, 2 usage or input error
 or output that cannot be written (a closed stdout, a full device), with one
@@ -68,6 +71,9 @@ _SEQUENCE_FAMILIES = {
     "bernoulli_at_one": lambda nmax, lam: num.bernoulli_deg_poly_sequence(nmax, 1, lam),
     "euler_at_one": lambda nmax, lam: num.euler_deg_poly_sequence(nmax, 1, lam),
 }
+
+# one value per row of the symbolic second-kind triangle (numbers.row_sums)
+_ROW_FAMILIES = ("bernoulli", "euler", "bell")
 
 _TRIANGLE_FAMILIES = {
     "stirling1": num.stirling1_table,
@@ -149,14 +155,17 @@ def _cmd_numbers(args: argparse.Namespace) -> OutputRecord:
         "nmax": args.nmax,
         "lambda": lam,
     }
+    n = args.nmax
+    stream = lam is None and _triangle_coefficients(n) >= _FORK_COEFFICIENTS
     if args.family in _TRIANGLE_FAMILIES:
-        n = args.nmax
-        if lam is None and _triangle_coefficients(n) >= _FORK_COEFFICIENTS:
+        if stream:
             payload["rows"] = _Stream(num.triangle_rows(n, args.family == "stirling1"), n + 1)
         else:
             payload["rows"] = _TRIANGLE_FAMILIES[args.family](n, point).entries
+    elif stream and args.family in _ROW_FAMILIES:
+        payload["values"] = _Stream(num.triangle_rows(n), n + 1, num.row_sums(args.family, n))
     else:
-        payload["values"] = _SEQUENCE_FAMILIES[args.family](args.nmax, point)
+        payload["values"] = _SEQUENCE_FAMILIES[args.family](n, point)
     return OutputRecord("number_table", payload)
 
 
@@ -225,7 +234,9 @@ def _cmd_audit(args: argparse.Namespace) -> OutputRecord:
 
 # A symbolic table of at least this many coefficients (degree + 1 per cell)
 # forks before its recurrence: the commands that forked when the count was
-# taken from the built table, which the tests pin.  Measured on a 2-CPU host,
+# taken from the built table, which the tests pin.  The symbolic Bernoulli,
+# Euler and Bell numbers fork where their second-kind triangle would
+# (nmax >= 66), and the *_at_one families never.  Measured on a 2-CPU host,
 # flat output to /dev/null, fresh processes, medians of 11 alternated runs,
 # each against the same command on one CPU, where its rows stream through one
 # process: at the bound a fork does not pay, `matrix B --seed half --rows 66`
@@ -237,8 +248,9 @@ def _cmd_audit(args: argparse.Namespace) -> OutputRecord:
 _FORK_COEFFICIENTS = 50_000
 
 # The rows of a table that renders on two processes: ``rows`` yields its
-# ``count`` rows, each built only when it is asked for.
-_Stream = namedtuple("_Stream", "rows count")
+# ``count`` rows, each built only when it is asked for.  With ``sums``, the
+# stream is a list of values, value n being ``sums`` of row n.
+_Stream = namedtuple("_Stream", "rows count sums", defaults=(None,))
 
 
 def _triangle_coefficients(nmax: int) -> int:
@@ -296,13 +308,19 @@ def _write_rows(rows, row_text, out: TextIO, first: str = "", between: str = "")
     row 0 and ``between`` before each later row.  The rows of a ``_Stream``
     render on two processes (see ``audit._split_map``): this process runs the
     recurrence and renders rows 0, 3, 6, ..., and a child forked before row 1
-    renders the others from the integers this process ships it.  A row the
-    child does not send back in full is rendered here, so the output is the
-    same bytes either way."""
-    theirs = ()
+    renders the others from the integers this process ships it; a stream
+    with ``sums`` writes ``row_text(n, sums(row))``, so the child also sums
+    the rows it is shipped.  A row the child does not send back in full is
+    rendered here, so the output is the same bytes either way."""
+    sums, theirs = None, ()
     if isinstance(rows, _Stream):
-        rows, theirs = rows.rows, {n for n in range(rows.count) if n % 3}
-    texts = _split_map(lambda item: row_text(*item), enumerate(rows), theirs, _pack_row, _unpack_row)
+        rows, sums, theirs = rows.rows, rows.sums, {n for n in range(rows.count) if n % 3}
+
+    def work(item):
+        n, row = item
+        return row_text(n, sums(row) if sums else row)
+
+    texts = _split_map(work, enumerate(rows), theirs, _pack_row, _unpack_row)
     try:
         for n, text in enumerate(texts):
             out.write(between if n else first)
@@ -334,6 +352,9 @@ def _write_json(value: object, out: TextIO, pad: str) -> None:
             _write_json(item, out, pad + "  ")
             sep = ","
         out.write(f"\n{pad}]")
+    elif isinstance(value, _Stream) and value.sums:  # values, one write each
+        _write_rows(value, lambda n, v: f'"{_fmt(v)}"', out, "[" + inner, "," + inner)
+        out.write(f"\n{pad}]")
     elif isinstance(value, _Stream) or isinstance(value[0], (list, tuple)):  # rows, one write each
         row_pad = pad + "  "
         _write_rows(value, lambda n, row: _json_row(row, row_pad), out, "[" + inner, "," + inner)
@@ -350,8 +371,7 @@ def to_structured(record: OutputRecord, out: TextIO) -> None:
 def to_flat(record: OutputRecord, out: TextIO) -> None:
     p = record.payload
     if "values" in p:
-        for n, value in enumerate(p["values"]):
-            out.write(f"{n}\t{_fmt(value)}\n")
+        _write_rows(p["values"], lambda n, value: f"{n}\t{_fmt(value)}\n", out)
     elif record.kind in ("number_table", "matrix"):
         _write_rows(p["table"] if record.kind == "matrix" else p["rows"], _flat_row, out)
     elif record.kind == "identity_report":

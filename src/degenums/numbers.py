@@ -13,17 +13,20 @@ and Bell numbers are closed weighted sums over the second-kind triangle; the
 polynomial values at x come from the binomial convolution with degenerate
 falling factorials of x.  The Bernoulli weights and the falling factorials
 are products of linear factors in L, so over polynomials in L those sums run
-by Horner's rule (``StirlingTable.nested_sums``).  At a rational L every one
-of these sums is integer rows against integer weights, one dot product per
-row reduced once (``_dots``).  Each family takes L as ``lam``: LAM (the
-default) gives polynomials in L, a Fraction the same numbers at that value.
+by Horner's rule (``StirlingTable.nested_row``).  Each symbolic sum is one
+function of a row, so the Bernoulli, Euler and Bell numbers are also read
+off rows streamed from ``triangle_rows``, none kept (``row_sums``).  At a
+rational L every one of these sums is integer rows against integer weights,
+one dot product per row reduced once (``_dots``).  Each family takes L as
+``lam``: LAM (the default) gives polynomials in L, a Fraction the same
+numbers at that value.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from fractions import Fraction
 from itertools import chain, count, repeat
 
@@ -35,6 +38,7 @@ __all__ = [
     "stirling2_table",
     "stirling1_table",
     "triangle_rows",
+    "row_sums",
     "bernoulli_deg_sequence",
     "euler_deg_sequence",
     "bell_deg_sequence",
@@ -107,12 +111,42 @@ def _stirling2_sums(nmax: int, lam: Value, heads: list, nested: tuple = ()) -> l
     # (start, step), nested_sums' weights; at L = p/q, q^k w_k is heads[k] times
     # the integer prod_{j<k} q f_j, so row n of the scaled rows sums over q^n.
     if lam is LAM:
-        table = stirling2_table(nmax)
-        return table.nested_sums(heads, *nested) if nested else table.weighted_sums(heads)
+        return list(map(_row_sum(heads, nested), stirling2_table(nmax).entries))
     rows = _stirling_rows(nmax, lam)
     ((a, b), (da, db)), p, q = nested or ((1, 0), (0, 0)), lam.numerator, lam.denominator
     ws = [h * f for h, f in zip(heads, linear_products(a * q + b * p, da * q + db * p, nmax))]
     return _dots(rows, [q**n for n in range(nmax + 1)], ws)
+
+
+def _row_sum(heads: list, nested: tuple) -> Callable[[tuple], Value]:
+    # the symbolic row -> sum_k S(n, k) w_k, its weights built once
+    return StirlingTable.nested_row(heads, *nested) if nested else StirlingTable.weighted_row(heads)
+
+
+# The weights of each family over row n of the second-kind triangle, k = 0..nmax:
+# (heads, nested) as _stirling2_sums takes them.
+def _bernoulli_weights(nmax: int) -> tuple[list, tuple]:
+    return [Fraction((-1) ** k, k + 1) for k in range(nmax + 1)], ((1, -1), (1, 0))
+
+
+def _euler_weights(nmax: int) -> tuple[list, tuple]:
+    return [Fraction((-1) ** k * math.factorial(k), 2**k) for k in range(nmax + 1)], ()
+
+
+def _bell_weights(nmax: int, x: Fraction = Fraction(1)) -> tuple[list, tuple]:
+    return [x**k for k in range(nmax + 1)], ()
+
+
+_FAMILY_WEIGHTS = {"bernoulli": _bernoulli_weights, "euler": _euler_weights, "bell": _bell_weights}
+
+
+def row_sums(family: str, nmax: int) -> Callable[[tuple], Value]:
+    """The function that takes row n of ``triangle_rows(nmax)`` to entry n of
+    the symbolic ``family`` sequence ("bernoulli", "euler" or "bell"), its
+    weights built once: mapped over those rows, it gives
+    ``bernoulli_deg_sequence(nmax)`` (or the Euler or Bell numbers) without
+    holding the triangle."""
+    return _row_sum(*_FAMILY_WEIGHTS[family](nmax))
 
 
 def triangle_rows(nmax: int, first: bool = False) -> Iterator[tuple]:
@@ -151,23 +185,18 @@ def bernoulli_deg_sequence(nmax: int, lam: Value = LAM) -> list[Value]:
     """Degenerate Bernoulli numbers for n = 0..nmax: weight k is
     (-1)^k (1-L)(2-L)...(k-L) / (k+1), nested as heads (-1)^k/(k+1) and
     factors (k+1) - L."""
-    return _stirling2_sums(
-        nmax, lam, [Fraction((-1) ** k, k + 1) for k in range(nmax + 1)], ((1, -1), (1, 0))
-    )
+    return _stirling2_sums(nmax, lam, *_bernoulli_weights(nmax))
 
 
 def euler_deg_sequence(nmax: int, lam: Value = LAM) -> list[Value]:
     """Degenerate Euler numbers for n = 0..nmax."""
-    return _stirling2_sums(
-        nmax, lam, [Fraction((-1) ** k * math.factorial(k), 2**k) for k in range(nmax + 1)]
-    )
+    return _stirling2_sums(nmax, lam, *_euler_weights(nmax))
 
 
 def bell_deg_sequence(nmax: int, x: Scalar = 1, lam: Value = LAM) -> list[Value]:
     """Degenerate Bell polynomial values at x for n = 0..nmax (x = 1 gives
     the degenerate Bell numbers)."""
-    x = as_fraction(x, "bell_deg_sequence")
-    return _stirling2_sums(nmax, lam, [x**k for k in range(nmax + 1)])
+    return _stirling2_sums(nmax, lam, *_bell_weights(nmax, as_fraction(x, "bell_deg_sequence")))
 
 
 def _convolve_at(base: list[Value], x: Fraction, lam: Value) -> list[Value]:

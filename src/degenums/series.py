@@ -18,7 +18,7 @@ import _thread
 import math
 from collections import namedtuple
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .exact import LAM, ONE, ZERO, LambdaPoly, Scalar, Value, as_fraction, linear_products
 
@@ -262,11 +262,12 @@ class StirlingTable(namedtuple("StirlingTable", "entries")):
 
     def weighted_sums(self, weights: Sequence[LambdaPoly | Scalar]) -> list[LambdaPoly]:
         """[sum_k entry(n, k) * weights[k] for n = 0..nmax] over polynomials
-        in L, one ``sum_of_products`` per row (weights may be plain
-        rationals): every weighted Stirling sum over a plain weight vector
-        goes through this one kernel.  At a rational L the sums run on the
-        integer rows of ``numbers``, so a table of rationals is refused."""
-        return [LambdaPoly.sum_of_products(zip(row, weights)) for row in self._poly_rows(weights)]
+        in L, ``weighted_row(weights)`` mapped over the rows (weights may be
+        plain rationals): every weighted Stirling sum over a plain weight
+        vector goes through that one row function, here or over rows streamed
+        one at a time (``numbers.row_sums``).  At a rational L the sums run on
+        the integer rows of ``numbers``, so a table of rationals is refused."""
+        return list(map(self.weighted_row(weights), self._poly_rows(weights)))
 
     def nested_sums(
         self, heads: Sequence[Scalar], start: tuple[int, int], step: tuple[int, int]
@@ -274,17 +275,33 @@ class StirlingTable(namedtuple("StirlingTable", "entries")):
         """The weighted sums for nested weights w_k = heads[k] prod_{j<k} f_j:
         rational heads and linear factors f_j = (a + j da) + (b + j db) L from
         the integer pairs start = (a, b) and step = (da, db), over polynomials
-        in L.  Each row runs by Horner's rule, t_0 h_0 + f_0 (t_1 h_1 + f_1
-        (...)), one fused ``mul_linear_add`` per step, so no step multiplies
-        two polynomials."""
+        in L, ``nested_row(heads, start, step)`` mapped over the rows: the
+        one Horner loop, here or over rows streamed one at a time
+        (``numbers.row_sums``)."""
+        return list(map(self.nested_row(heads, start, step), self._poly_rows(heads)))
+
+    @staticmethod
+    def weighted_row(weights: Sequence[LambdaPoly | Scalar]) -> Callable[[tuple], LambdaPoly]:
+        """The function of a row that ``weighted_sums`` maps: row -> sum_k
+        row[k] * weights[k], one ``sum_of_products``."""
+        return lambda row: LambdaPoly.sum_of_products(zip(row, weights))
+
+    @staticmethod
+    def nested_row(
+        heads: Sequence[Scalar], start: tuple[int, int], step: tuple[int, int]
+    ) -> Callable[[tuple], LambdaPoly]:
+        """The function of a row that ``nested_sums`` maps: the row by
+        Horner's rule, t_0 h_0 + f_0 (t_1 h_1 + f_1 (...)), one fused
+        ``mul_linear_add`` per step, so no step multiplies two polynomials."""
         (a, b), (da, db) = start, step
-        out = []
-        for row in self._poly_rows(heads):
+
+        def nested(row: tuple) -> LambdaPoly:
             acc = row[-1].scale(heads[len(row) - 1])
             for k in range(len(row) - 2, -1, -1):
                 acc = acc.mul_linear_add(a + k * da, b + k * db, row[k], heads[k])
-            out.append(acc)
-        return out
+            return acc
+
+        return nested
 
 
 # The power triangle of each series asked for so far, as (coefficients of g,

@@ -18,7 +18,12 @@ from degenums.algorithms import AlgorithmTable, SequenceSpec, build_table
 from degenums.audit import IdentityResult, MatrixAuditResult, PrintedEntry
 from degenums.cli import OutputRecord, main
 from degenums.exact import LAM, ONE, ZERO, LambdaPoly, format_rat, parse_rat
-from degenums.numbers import stirling2_table
+from degenums.numbers import (
+    bell_deg_sequence,
+    bernoulli_deg_sequence,
+    euler_deg_sequence,
+    stirling2_table,
+)
 from degenums.series import StirlingTable
 
 F = Fraction
@@ -736,11 +741,27 @@ _LARGE_TABLES = [
     ["matrix", "A", "--seed", "half", "--rows", "100"],
     ["numbers", "stirling2", "--nmax", "100"],
     ["matrix", "A", "--seed", "custom", "--rows", "70"],
+    ["numbers", "bernoulli", "--nmax", "100"],
+    ["numbers", "euler", "--nmax", "70"],
+    ["numbers", "bell", "--nmax", "70"],
 ]
+
+_FAMILIES = {
+    "bernoulli": bernoulli_deg_sequence,
+    "euler": euler_deg_sequence,
+    "bell": bell_deg_sequence,
+}
 
 
 def _expected_outputs(argv):
-    # the structured and flat bytes, every cell rendered here from the table itself
+    # the structured and flat bytes, every cell rendered here from the table
+    # itself, or every value from the library's sequence
+    if argv[1] in _FAMILIES:
+        family, nmax = argv[1], int(argv[3])
+        texts = [v.render() for v in _FAMILIES[family](nmax)]
+        payload = {"family": family, "nmax": nmax, "lambda": None, "values": texts}
+        structured = json.dumps({"kind": "number_table", "payload": payload}, indent=2) + "\n"
+        return {"structured": structured, "flat": "".join(f"{n}\t{t}\n" for n, t in enumerate(texts))}
     if argv[0] == "numbers":
         nmax = int(argv[3])
         table = stirling2_table(nmax).entries
@@ -790,7 +811,8 @@ def test_large_tables_write_the_same_bytes_forked_or_not(argv, tmp_path, monkeyp
 _IN_PROCESS = [
     ["verify", "--nmax", "30", "--order", "30"],
     ["audit"],
-    ["numbers", "bernoulli", "--nmax", "100"],
+    # 47,906 coefficients in its triangle, the largest size under the bound
+    ["numbers", "bernoulli", "--nmax", "65"],
     ["numbers", "bernoulli", "--nmax", "100", "--lambda=3/8"],
     # the lambda_eval shape, 5,151 cells; a rational table has at most 20,301
     ["matrix", "B", "--rows", "100", "--lambda=-1/9"],
@@ -940,6 +962,66 @@ def test_the_forked_renderer_runs_no_recurrence_cell(fmt, monkeypatch, two_cpus)
     assert forks == ["fork"]
     assert len(here) < int(argv[5]) + 1
     _no_child_left()
+
+
+@pytest.mark.parametrize("fmt", ["structured", "flat"])
+@pytest.mark.parametrize("family", ["bernoulli", "euler"])
+def test_the_forked_family_child_computes_no_stirling_cell(family, fmt, monkeypatch, two_cpus):
+    # the child sums rows it never computed (bernoulli by nested sums, euler by
+    # weighted sums): a cell of the triangle in any other process ends that
+    # process with status 3, and its values with it
+    from degenums import numbers
+
+    argv = ["numbers", family, "--nmax", "100"]
+    expected = _expected_outputs(argv)[fmt]
+    pid, here, forks = os.getpid(), [], []
+    cell, row_sums = numbers.times_linear_add, numbers.row_sums
+
+    def cell_here_only(*args):
+        if os.getpid() != pid:
+            os._exit(3)
+        return cell(*args)
+
+    def counted_row_sums(*args):
+        value = row_sums(*args)
+
+        def counted(row):
+            if os.getpid() == pid:
+                here.append(1)
+            return value(row)
+
+        return counted
+
+    monkeypatch.setattr(numbers, "times_linear_add", cell_here_only)
+    monkeypatch.setattr(numbers, "row_sums", counted_row_sums)
+    _record_forks(monkeypatch, forks)
+    assert _capture(argv + ["--format", fmt]) == (0, expected, "")
+    assert forks == ["fork"]
+    assert 0 < len(here) < 101
+    _no_child_left()
+
+
+@pytest.mark.parametrize(
+    "argv, forks",
+    [
+        (["numbers", "bell", "--nmax", "65"], []),
+        (["numbers", "bell", "--nmax", "66"], ["fork"]),
+        (["numbers", "bernoulli", "--nmax", "100", "--lambda=3/8"], []),
+        (["numbers", "bernoulli_at_one", "--nmax", "100"], []),
+    ],
+    ids=" ".join,
+)
+def test_a_family_forks_where_its_triangle_does(argv, forks, monkeypatch, two_cpus):
+    # the symbolic Bernoulli, Euler and Bell numbers fork at the triangles'
+    # bound (nmax 66); a rational L and the *_at_one families never fork
+    events = []
+    _record_forks(monkeypatch, events)
+    for fmt in ("structured", "flat"):
+        events.clear()
+        status, out, err = _capture(argv + ["--format", fmt])
+        assert (status, err) == (0, "") and out
+        assert events == forks
+        _no_child_left()
 
 
 @pytest.mark.parametrize("memfd", ["raises", "absent"])
