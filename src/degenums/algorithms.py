@@ -16,9 +16,9 @@ routes to the same values, reading kind A as kind B of the differenced
 seed a_m - a_{m-1}.  The seeds and the table run take the value of L as
 ``lam``: LAM (the default) for polynomials in L, or a rational value.
 A custom seed holds its entries as polynomials in L, evaluated at ``lam``.
-``build_table`` keeps the longest symbolic run of at most 32 rows of each
-bundled (kind, seed) and answers a shorter request with its sub-trapezoid,
-so the identities that read the same run build it once.
+While the identity suite runs, ``build_table`` keeps the longest symbolic
+run of each (kind, seed) and answers a shorter request with its
+sub-trapezoid, so the identities that read the same run build it once.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .exact import (
     times_linear_add,
 )
 from .numbers import stirling2_table
-from .series import _KEPT_ROWS, TruncatedSeries, _as_poly, e_lambda_series, log_lambda_series
+from .series import TruncatedSeries, _as_poly, _store, e_lambda_series, log_lambda_series
 
 __all__ = [
     "SEED_VARIANTS",
@@ -138,11 +138,11 @@ class AlgorithmTable(namedtuple("AlgorithmTable", "rows")):
         return len(self.rows) - 1
 
 
-# The longest symbolic run of at most _KEPT_ROWS rows built so far for each
-# bundled (kind, seed), so that the identities that read the same run build
-# it once.  Column m of row n reads only seed entries 0..n+m, so a shorter
-# run is the sub-trapezoid of a longer one.  Custom, rational and longer runs
-# are not kept, so the store has at most six keys.
+# The longest symbolic run built in the identity suite for each (kind, seed),
+# so that the identities that read the same run build it once (series._store).
+# Column m of row n reads only seed entries 0..n+m, so a shorter run is the
+# sub-trapezoid of a longer one.  The key holds no value of L, so runs at a
+# rational L are not kept.
 _kept_runs: dict[tuple[str, SequenceSpec], AlgorithmTable] = {}
 
 
@@ -154,14 +154,11 @@ def build_table(kind: str, seed: SequenceSpec, rows: int, lam: Value = LAM) -> A
     if rows < 0:
         raise ValueError("rows must be nonnegative")
     check_lam(lam, "build_table")  # before the store lookup
-    keep = lam is LAM and rows <= _KEPT_ROWS and seed.custom_values is None
-    key = (kind, seed) if keep else None
-    kept = _kept_runs.get(key)
+    store = _store(_kept_runs) if lam is LAM else {}
+    kept = store.get((kind, seed))
     if kept is not None and rows <= kept.row_count:
         return AlgorithmTable(tuple(kept.rows[n][: rows + 1 - n] for n in range(rows + 1)))
-    run = AlgorithmTable(tuple(table_rows(kind, seed.values(rows + 1, lam), lam)))
-    if key is not None:
-        _kept_runs[key] = run
+    store[kind, seed] = run = AlgorithmTable(tuple(table_rows(kind, seed.values(rows + 1, lam), lam)))
     return run
 
 

@@ -25,6 +25,7 @@ import os
 from collections import namedtuple
 from fractions import Fraction
 
+from . import series
 from .algorithms import (
     SequenceSpec,
     build_table,
@@ -594,7 +595,8 @@ def run_identity_suite(
     on two CPUs a forked child checks them while this process checks the
     rest, each verdict crossing the pipe as "1" or "0".  Each identity runs
     once, here unless the child sent its verdict in full, so an error in one
-    surfaces here; the results come back in registry order.
+    surfaces here; the results come back in registry order.  Rows that
+    identities share are kept, and built once, only while it runs.
 
     ``inject_fault`` is the test hook: naming an identity flips one
     coefficient of its first computed value, which must surface as a failed
@@ -617,8 +619,12 @@ def run_identity_suite(
     rows = sorted(_IDENTITY_REGISTRY, key=lambda row: row[0] in _CHILD_IDENTITIES)
     theirs = range(len(rows) - len(_CHILD_IDENTITIES), len(rows))
     by_name = {row[0]: row for row in rows}
-    verdicts = _split_map(checked, rows, theirs, lambda row: row[0], by_name.__getitem__)
-    passed = {row[0]: verdict == "1" for row, verdict in zip(rows, verdicts)}
+    keeping, series._keeping = series._keeping, True
+    try:
+        verdicts = _split_map(checked, rows, theirs, lambda row: row[0], by_name.__getitem__)
+        passed = {row[0]: verdict == "1" for row, verdict in zip(rows, verdicts)}
+    finally:
+        series._keeping = keeping
     return tuple(
         IdentityResult(name, min(sizes[size], limit), passed[name])
         for name, size, limit, _ in _IDENTITY_REGISTRY

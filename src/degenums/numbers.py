@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import chain, count, repeat
 
 from .exact import LAM, ONE, Scalar, Value, as_fraction, linear_products, ring_one, times_linear_add
-from .series import _KEPT_ROWS, StirlingTable
+from .series import StirlingTable, _store
 
 __all__ = [
     "StirlingTable",
@@ -50,11 +50,9 @@ __all__ = [
 ]
 
 
-# The rows of each small second-kind triangle built so far (integers at a
-# rational L), keyed by the value of L, so that the identity suite builds each
-# row once however many families read it.  Triangles of more than _KEPT_ROWS
-# rows (the CLI's) are not kept: they are built once per run, and keeping them
-# would hold memory for the rest of it.  At most four values of L are kept.
+# The rows of each second-kind triangle built in the identity suite (integers
+# at a rational L), keyed by the value of L, so that the suite builds each row
+# once however many families read it (series._store).
 _stirling2_rows: dict[Value, list[tuple]] = {}
 
 
@@ -78,14 +76,10 @@ def _stirling_rows(nmax: int, lam: Value, first: bool = False) -> list[tuple]:
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
     one = ring_one(lam)
-    store = {} if first else _stirling2_rows
+    store = {} if first else _store(_stirling2_rows)
     rows = list(store.get(lam, [(one if lam is LAM else 1,)]))
-    kept = len(rows)
     rows += _stirling_steps(rows[-1], nmax, lam, first)
-    if kept < len(rows) <= _KEPT_ROWS:
-        if lam not in store and len(store) >= 4:
-            store.clear()
-        store[lam] = rows
+    store[lam] = rows
     return rows[: nmax + 1]
 
 

@@ -304,39 +304,42 @@ class StirlingTable(namedtuple("StirlingTable", "entries")):
         return nested
 
 
-# The power triangle of each series asked for so far, as (coefficients of g,
-# rows), rows[n][k] = [t^n] g^k for k <= n, so that the compositions through
-# e_L(t) - 1 and log_L(1+t) read one triangle each.  A request that agrees
-# with a kept series on their common leading coefficients is cut from its
-# triangle, which grows by appending rows to a longer order; a row held is
-# never rebuilt.  Triangles of order above _KEPT_ROWS are not kept, and at
-# most four series are.  One lock holds the lookup, growth and cut, so
-# threads asking at once do not interleave their appends to a kept triangle.
-_KEPT_ROWS = 32
+# Only while run_identity_suite runs (it sets _keeping, and a child it forks
+# inherits it) do the stores here, in numbers and in algorithms keep what they
+# build, with no bound, and for later suites; elsewhere each call builds afresh.
+_keeping = False
+
+
+def _store(kept):
+    return kept if _keeping else type(kept)()
+
+
+# The power triangle of each series asked for in the suite, as (coefficients
+# of g, rows), rows[n][k] = [t^n] g^k for k <= n, so that the compositions
+# through e_L(t) - 1 and log_L(1+t) read one triangle each.  A request that
+# agrees with a kept series on their common leading coefficients is cut from
+# its triangle, which grows by appending rows to a longer order; a row held
+# is never rebuilt.  One lock holds the lookup, growth and cut, so threads
+# asking at once do not interleave their appends to a kept triangle.
 _power_tables: list[tuple[list[LambdaPoly], list[tuple[LambdaPoly, ...]]]] = []
 _power_lock = _thread.allocate_lock()
 
 
 def powers(g: TruncatedSeries) -> tuple[tuple[LambdaPoly, ...], ...]:
     """The power triangle rows[n][k] = [t^n] g^k for 0 <= k <= n <= g.order;
-    g must have a zero constant term, so g^k has no terms below t^k.
-
-    Cut from the kept triangle of the series that agrees with g on its
-    leading coefficients, grown first where g asks for a longer order, so the
-    identity suite builds each cell once however many compositions read it.
-    Each cell below row 0 and right of column 0 is one ``sum_of_products``,
-    [t^n] g^k = sum_j g_j [t^(n-j)] g^(k-1)."""
+    g must have a zero constant term, so g^k has no terms below t^k.  Each
+    cell below row 0 and right of column 0 is one ``sum_of_products``,
+    [t^n] g^k = sum_j g_j [t^(n-j)] g^(k-1), and the identity suite computes
+    each once however many compositions read it (``_power_tables``)."""
     gs, top = g.coeffs, g.order + 1
     if not gs[0].is_zero:
         raise ValueError("a power triangle requires a zero constant term")
-    keep = g.order <= _KEPT_ROWS
     with _power_lock:
-        table = next((t for t in _power_tables if keep and tuple(t[0][:top]) == gs[: len(t[0])]), None)
+        tables = _store(_power_tables)
+        table = next((t for t in tables if tuple(t[0][:top]) == gs[: len(t[0])]), None)
         if table is None:
             table = ([], [(ONE,)])
-            if keep:
-                del _power_tables[:-3]
-                _power_tables.append(table)
+            tables.append(table)
         base, rows = table
         base.extend(gs[len(base) :])
         for n in range(len(rows), top):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degenums import algorithms
+from degenums import algorithms, numbers, series
 from degenums.algorithms import (
     SequenceSpec,
     build_table,
@@ -340,7 +340,7 @@ def _built_afresh(kind, seed, rows):
     [((24, 20, 12, 5, 0), 1), ((0, 5, 12, 20, 24), 5)],
     ids=["long_first", "short_first"],
 )
-def test_kept_run_answers_shorter_requests(monkeypatch, sizes, builds):
+def test_kept_run_answers_shorter_requests(monkeypatch, in_suite_scope, sizes, builds):
     # a request for fewer rows than a kept run is answered with its
     # sub-trapezoid; each run reads its seed once
     fresh = {
@@ -362,27 +362,29 @@ def test_kept_run_answers_shorter_requests(monkeypatch, sizes, builds):
     assert [t.row_count for t in algorithms._kept_runs.values()] == [24] * 6
 
 
-def test_build_table_keeps_runs_of_at_most_32_rows_and_six_keys(monkeypatch):
+def test_build_table_keeps_runs_only_in_the_suite(monkeypatch):
+    # outside the identity suite every run is built afresh and none is kept;
+    # inside it a run of any length is kept, custom seeds' too, and a shorter
+    # request is cut from it
     store = {}
     monkeypatch.setattr(algorithms, "_kept_runs", store)
     seed = SequenceSpec.half_powers()
-    long = build_table("B", seed, 33)
-    assert store == {}
-    run = build_table("B", seed, 32)
-    assert store == {("B", seed): run}
-    assert run.rows == tuple(row[: 33 - n] for n, row in enumerate(long.rows[:33]))
-    for kind in ("B", "A"):
-        for s in ALL_SEEDS:
-            build_table(kind, s, 3)
-    assert len(store) == 6
-    bundled = dict(store)
     custom = SequenceSpec.custom([ONE, LAM, ZERO, ONE])
-    assert build_table("B", custom, 3) == _built_afresh("B", custom, 3)
-    assert store == bundled
+    long = build_table("B", seed, 40)
+    build_table("A", custom, 3)
+    assert store == {}
+    monkeypatch.setattr(series, "_keeping", True)
+    assert build_table("B", seed, 40) == long
+    assert store == {("B", seed): long}
+    run = build_table("B", seed, 33)
+    assert run.rows == tuple(row[: 34 - n] for n, row in enumerate(long.rows[:34]))
+    assert run.rows[33][0] is store["B", seed].rows[33][0]
+    assert build_table("A", custom, 3) == store["A", custom]
+    assert len(store) == 2
 
 
 @pytest.mark.parametrize("lam", [F(1, 2), F(0), 2])
-def test_rational_runs_are_not_kept(monkeypatch, lam):
+def test_rational_runs_are_not_kept(monkeypatch, in_suite_scope, lam):
     store = {}
     monkeypatch.setattr(algorithms, "_kept_runs", store)
     for kind in ("B", "A"):
@@ -391,7 +393,7 @@ def test_rational_runs_are_not_kept(monkeypatch, lam):
     assert store == {}
 
 
-def test_build_table_validates_before_the_store(monkeypatch):
+def test_build_table_validates_before_the_store(monkeypatch, in_suite_scope):
     monkeypatch.setattr(algorithms, "_kept_runs", {})
     build_table("B", SequenceSpec.bell(), 4)
     with pytest.raises(ValueError, match="rows must be nonnegative"):
@@ -402,14 +404,28 @@ def test_build_table_validates_before_the_store(monkeypatch):
         build_table("B", SequenceSpec.bell(), 2, 0.5)
 
 
-def test_matrix_command_leaves_the_run_store_empty(monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["numbers", "bernoulli", "--nmax", "20"],
+        ["numbers", "stirling2", "--nmax", "20", "--lambda=1/2"],
+        ["matrix", "A", "--seed", "bell", "--rows", "20"],
+        ["audit"],
+    ],
+    ids=["bernoulli", "stirling2_at_half", "matrix_A_bell", "audit"],
+)
+def test_commands_leave_the_stores_empty(monkeypatch, capsys, argv):
+    # only the identity suite keeps rows; every other command builds afresh
     from degenums.cli import main
 
-    store = {}
-    monkeypatch.setattr(algorithms, "_kept_runs", store)
-    assert main(["matrix", "B", "--rows", "40"]) == 0
+    stores = {}, {}, []
+    for module, name, store in zip(
+        (numbers, algorithms, series), ("_stirling2_rows", "_kept_runs", "_power_tables"), stores
+    ):
+        monkeypatch.setattr(module, name, store)
+    assert main(argv) == 0
     capsys.readouterr()
-    assert store == {}
+    assert stores == ({}, {}, [])
 
 
 _small_polys = st.lists(

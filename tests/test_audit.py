@@ -403,6 +403,53 @@ def test_identity_suite_runs_each_kind_ab_run_once(monkeypatch, in_one_process):
     assert len(cells) == 1800
 
 
+def test_identity_suite_builds_each_cell_once_above_32_rows(monkeypatch, in_one_process):
+    # final_vs_closed_form's limit raised to 40: its six 40-row runs and its
+    # 40-row second-kind triangle are kept like shorter ones, so the later
+    # readers cut their runs and rows from them.  Each symbolic recurrence
+    # cell is computed once, 820 per run, and so is each second-kind cell
+    # (the first kind, not kept, is not recorded, as in the 30/30 test).
+    from degenums import algorithms, audit, numbers
+
+    registry = tuple(
+        (name, size, 40 if name == "final_vs_closed_form" else limit, check)
+        for name, size, limit, check in audit._IDENTITY_REGISTRY
+    )
+    run_cells, stirling_cells, first_kind = [], [], []
+    real_run_cell, real_stirling_cell = algorithms.times_linear_add, numbers.times_linear_add
+    real_stirling1 = audit.stirling1_table
+
+    def counting_runs(x, a, b, y, c, lam):
+        if lam is LAM:
+            run_cells.append((a, b, c))
+        return real_run_cell(x, a, b, y, c, lam)
+
+    def counting_stirling(x, a, b, y, c, lam):
+        if not first_kind:
+            stirling_cells.append((lam, a, b))
+        return real_stirling_cell(x, a, b, y, c, lam)
+
+    def stirling1_uncounted(*args):
+        first_kind.append(True)
+        try:
+            return real_stirling1(*args)
+        finally:
+            first_kind.pop()
+
+    monkeypatch.setattr(audit, "_IDENTITY_REGISTRY", registry)
+    monkeypatch.setattr(algorithms, "_kept_runs", {})
+    monkeypatch.setattr(numbers, "_stirling2_rows", {})
+    monkeypatch.setattr(algorithms, "times_linear_add", counting_runs)
+    monkeypatch.setattr(numbers, "times_linear_add", counting_stirling)
+    monkeypatch.setattr(audit, "stirling1_table", stirling1_uncounted)
+    results = run_identity_suite(40, 30)
+    assert all(r.passed for r in results)
+    assert {r.name: r.max_tested for r in results}["final_vs_closed_form"] == 40
+    assert len(run_cells) == 6 * (40 * 41 // 2) == 4920
+    assert (LAM, 39, -39) in stirling_cells  # row 40 is built
+    assert len(stirling_cells) == len(set(stirling_cells))
+
+
 def test_kept_run_with_a_wrong_cell_fails_every_reader(monkeypatch):
     # cell (3, 0) of the symbolic kind-B runs off by L: each run is built
     # once and kept, and every identity that reads it fails.  The table

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from degenums import numbers
+from degenums import numbers, series
 from degenums.algorithms import (
     SequenceSpec,
     build_table,
@@ -123,7 +123,7 @@ def test_table_entry_outside_triangle_at_a_rational_lambda():
     assert t.entry(3, 4) == 0 and type(t.entry(3, 4)) is F
 
 
-def test_stirling2_rows_are_built_once(monkeypatch):
+def test_stirling2_rows_are_built_once(monkeypatch, in_suite_scope):
     # Every cell of a triangle is one times_linear_add call; record them with
     # an empty row store, then run families that all read the same triangles.
     calls = []
@@ -193,16 +193,19 @@ def test_rational_lane_equals_the_evaluated_polynomials(p, q, n, data):
     # p and q of up to 10 digits, L negative, 0 or whole included; a shorter
     # table is asked for first, so the row store serves a scaled prefix
     lam = F(p, q)
-    if data is not None:
-        stirling2_table(data.draw(st.integers(0, n)), lam)
     if n not in _SYMBOLIC:
         _SYMBOLIC[n] = _rational_lane(LAM, n)
-    values = _rational_lane(lam, n)
+    with pytest.MonkeyPatch.context() as patched:  # as in_suite_scope does
+        patched.setattr(numbers, "_stirling2_rows", {})
+        patched.setattr(series, "_keeping", True)
+        if data is not None:
+            stirling2_table(data.draw(st.integers(0, n)), lam)
+        values = _rational_lane(lam, n)
     assert all(type(v) is F for v in values)
     assert values == [v.eval_at(lam) for v in _SYMBOLIC[n]]
 
 
-def test_float_lambda_leaves_the_row_store_clean(monkeypatch):
+def test_float_lambda_leaves_the_row_store_clean(monkeypatch, in_suite_scope):
     # 0.5 == Fraction(1, 2) and both hash alike, so float rows stored under
     # 0.5 would be served to the exact lane afterwards
     monkeypatch.setattr(numbers, "_stirling2_rows", {})
@@ -223,7 +226,7 @@ def test_float_lambda_leaves_the_row_store_clean(monkeypatch):
 
 
 @pytest.mark.parametrize("lam", [LambdaPoly((0, 1)), LAM + 1], ids=["copy_of_LAM", "LAM_plus_1"])
-def test_every_family_rejects_a_polynomial_other_than_lam(monkeypatch, lam):
+def test_every_family_rejects_a_polynomial_other_than_lam(monkeypatch, in_suite_scope, lam):
     # the rings are told apart by `lam is LAM`: a copy equal to LAM once took
     # the slower generic path in some functions and raised ValueError in others
     monkeypatch.setattr(numbers, "_stirling2_rows", {})
@@ -281,18 +284,25 @@ def test_float_argument_x_rejected(call):
     call(F(1, 10))
 
 
-def test_stirling2_kept_rows_are_bounded(monkeypatch):
+def test_stirling2_rows_are_kept_only_in_the_suite(monkeypatch):
+    # outside the identity suite no rows are kept; inside it a 40-row
+    # triangle is kept and serves shorter requests, and the rows of every
+    # value of L are kept
     store = {}
     monkeypatch.setattr(numbers, "_stirling2_rows", store)
     big = stirling2_table(40)
+    stirling2_table(3, F(1, 2))
     assert store == {}
-    small = stirling2_table(20)
-    assert len(store[LAM]) == 21 and small.entries == big.entries[:21]
+    monkeypatch.setattr(series, "_keeping", True)
     assert stirling2_table(40) == big
-    assert len(store[LAM]) == 21
+    kept = store[LAM]
+    assert len(kept) == 41
+    small = stirling2_table(20)
+    assert small.entries == big.entries[:21]
+    assert all(row is kept[n] for n, row in enumerate(small.entries))
     for q in range(1, 7):
         stirling2_table(3, F(q))
-    assert len(store) <= 4
+    assert len(store) == 7
 
 
 _LANE_POINTS = (F(1, 2), F(-3, 7), F(0), F(5))

@@ -161,6 +161,7 @@ def test_powers_are_repeated_products(g, requests):
 
     with pytest.MonkeyPatch.context() as patched:
         patched.setattr(series_module, "_power_tables", [])
+        patched.setattr(series_module, "_keeping", True)  # as in_suite_scope does
         patched.setattr(LambdaPoly, "sum_of_products", classmethod(counting))
         for m, rows in zip(requests, expected):
             got = powers(g.truncate(m))
@@ -172,7 +173,10 @@ def test_powers_are_repeated_products(g, requests):
         assert len(series_module._power_tables) == 1
 
 
-def test_power_tables_keep_orders_up_to_32_and_four_series(monkeypatch):
+def test_power_tables_are_kept_only_in_the_suite(monkeypatch):
+    # outside the identity suite no triangle is kept; inside it an order-33
+    # triangle is kept and a shorter request is cut from it, and every
+    # series asked for is kept
     from degenums import series as series_module
 
     kept = []
@@ -180,17 +184,17 @@ def test_power_tables_keep_orders_up_to_32_and_four_series(monkeypatch):
     long = TruncatedSeries([ZERO, ONE, LAM] + [ONE] * 31)  # order 33
     assert powers(long) == _repeated_products(long)
     assert kept == []
-    assert powers(long.truncate(32))[32][32] == ONE
-    assert len(kept) == 1
+    monkeypatch.setattr(series_module, "_keeping", True)
+    rows = powers(long)
+    assert rows == _repeated_products(long) and len(kept) == 1
+    assert all(a is b for a, b in zip(powers(long.truncate(32)), rows))
     for c in range(1, 7):
         g = TruncatedSeries([ZERO, LAM, LambdaPoly.constant(c)])
         assert powers(g) == _repeated_products(g)
-        assert len(kept) == min(c + 1, 4)
-    # the oldest series goes first
-    assert [base[2] for base, _ in kept] == [LambdaPoly.constant(c) for c in (3, 4, 5, 6)]
+    assert len(kept) == 7
 
 
-def test_power_table_grown_from_four_threads_holds_the_repeated_products(monkeypatch):
+def test_power_table_grown_from_four_threads_holds_the_repeated_products(monkeypatch, in_suite_scope):
     # four threads grow one kept triangle at once, with a thread switch
     # possible every microsecond; a later order-30 request must still read
     # only the repeated products, one row per order
