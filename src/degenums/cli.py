@@ -8,18 +8,18 @@ tab-separated table with ``--format flat``; every polynomial uses the
 canonical text rendering.  An ``OutputRecord`` payload holds the exact
 values, not their text: each value is rendered as it is written, one row per
 write, so a table is never held as text.  A symbolic ``matrix`` table or
-``numbers stirling1|stirling2`` triangle whose coefficients, bounded from
-the request and row 0, reach ``_FORK_COEFFICIENTS`` forks one child before
-its recurrence: this process runs the recurrence, ships two rows in three to
-the child as integers through a memory file and renders the third, and the
-child renders the rows it is shipped; the output is byte-identical and still
-one row per write.  The symbolic ``numbers bernoulli|euler|bell`` fork where
-their second-kind triangle does: the rows stream the same way, and each row
-becomes one value (``numbers.row_sums``), summed and rendered where the row
-goes.  Smaller tables, the ``*_at_one`` families and everything at a
+``numbers stirling1|stirling2`` triangle streams its rows, each built from
+the one before as it is written and none kept; the symbolic ``numbers
+bernoulli|euler|bell`` stream the second-kind triangle's rows the same way,
+each row becoming one value (``numbers.row_sums``).  From ``--rows`` or
+``--nmax`` 66 up such a stream forks one child before its recurrence: this
+process runs the recurrence, ships two rows in three to the child as
+integers through a memory file and renders the third, and the child renders
+(or sums and renders) the rows it is shipped; the output is byte-identical
+and still one row per write.  The ``*_at_one`` families and everything at a
 rational L are built whole and render here, as does every row where nothing
-forks: where the platform cannot fork or make a memory file, where either
-fails or a pipe does, on one CPU, or beside other threads.  ``verify``
+forks: below 66, where the platform cannot fork or make a memory file, where
+either fails or a pipe does, on one CPU, or beside other threads.  ``verify``
 checks its identities on two processes under the same rule, through the same
 helper (``audit._split_map``), and renders its small report here.  A
 rational substitution for L can be supplied as ``--lambda p/q``; decimals
@@ -149,23 +149,21 @@ def _load_custom_seed(path: str, count: int) -> SequenceSpec:
 def _cmd_numbers(args: argparse.Namespace) -> OutputRecord:
     _check_size("--nmax", args.nmax, NUMBERS_NMAX_CEILING)
     lam = args.lam
-    point = LAM if lam is None else lam
     payload: dict = {
         "family": args.family,
         "nmax": args.nmax,
         "lambda": lam,
     }
     n = args.nmax
-    stream = lam is None and _triangle_coefficients(n) >= _FORK_COEFFICIENTS
     if args.family in _TRIANGLE_FAMILIES:
-        if stream:
+        if lam is None:
             payload["rows"] = _Stream(num.triangle_rows(n, args.family == "stirling1"), n + 1)
         else:
-            payload["rows"] = _TRIANGLE_FAMILIES[args.family](n, point).entries
-    elif stream and args.family in _ROW_FAMILIES:
+            payload["rows"] = _TRIANGLE_FAMILIES[args.family](n, lam).entries
+    elif lam is None and args.family in _ROW_FAMILIES:
         payload["values"] = _Stream(num.triangle_rows(n), n + 1, num.row_sums(args.family, n))
     else:
-        payload["values"] = _SEQUENCE_FAMILIES[args.family](n, point)
+        payload["values"] = _SEQUENCE_FAMILIES[args.family](n, LAM if lam is None else lam)
     return OutputRecord("number_table", payload)
 
 
@@ -174,22 +172,20 @@ def _cmd_matrix(args: argparse.Namespace) -> OutputRecord:
     if (args.seed == "custom") != (args.custom_file is not None):
         raise ValueError("--custom-file is required exactly when --seed custom is used")
     lam = args.lam
-    point = LAM if lam is None else lam
     if args.seed == "custom":
         seed = _load_custom_seed(args.custom_file, args.rows + 1)
     else:
         seed = _SEED_NAMES[args.seed]()
-    table = None
-    if lam is None:  # a table at a rational L has at most 20,301 cells
-        first = seed.values(args.rows + 1)  # row 0: a short custom seed raises here
-        if _run_coefficients(first) >= _FORK_COEFFICIENTS:
-            table = _Stream(table_rows(args.kind, first), args.rows + 1)
+    if lam is None:  # row 0 here: a short custom seed raises before any output
+        table = _Stream(table_rows(args.kind, seed.values(args.rows + 1)), args.rows + 1)
+    else:  # at most 20,301 cells at the 200 ceilings
+        table = build_table(args.kind, seed, args.rows, lam).rows
     payload = {
         "algorithm": args.kind,
         "seed": args.seed,
         "rows": args.rows,
         "lambda": lam,
-        "table": table or build_table(args.kind, seed, args.rows, point).rows,
+        "table": table,
     }
     return OutputRecord("matrix", payload)
 
@@ -232,53 +228,22 @@ def _cmd_audit(args: argparse.Namespace) -> OutputRecord:
 
 # -- rendering ---------------------------------------------------------------
 
-# A symbolic table of at least this many coefficients (degree + 1 per cell)
-# forks before its recurrence: the commands that forked when the count was
-# taken from the built table, which the tests pin.  The symbolic Bernoulli,
-# Euler and Bell numbers fork where their second-kind triangle would
-# (nmax >= 66), and the *_at_one families never.  Measured on a 2-CPU host,
-# flat output to /dev/null, fresh processes, medians of 11 alternated runs,
-# each against the same command on one CPU, where its rows stream through one
-# process: at the bound a fork does not pay, `matrix B --seed half --rows 66`
-# (50,183 coefficients) took 1.14 of that time and `--seed bernoulli --rows
-# 52` (51,039) 1.05; `--seed half --rows 100` (171,801) took 0.80, `--seed
-# bernoulli --rows 80` (180,441) 0.57, `--rows 100` (348,551) 0.77 and `--seed
-# half --rows 200` (1,353,601; 3 runs) 0.72.  Every table at a rational L
-# stays in process: at most 20,301 cells at the 200 ceilings.
-_FORK_COEFFICIENTS = 50_000
+# A stream whose last row is at least this (``--rows`` or ``--nmax`` of 66 or
+# more) forks before its recurrence; a shorter one never does.  Measured on a
+# 2-CPU host, flat output to /dev/null, fresh processes, medians of 11
+# alternated runs, each forked against the same command on one CPU, where its
+# rows stream through one process: below 66 a fork loses, `matrix B --seed
+# bernoulli --rows 52|58|65` took 1.04/1.10/1.21 of the one-CPU time; at 66 it
+# is about even, 0.96-1.06 (`--seed bernoulli|half`, `numbers stirling2`);
+# from 80 rows it pays, `--seed bernoulli --rows 80` 0.67 and `--rows 100` 0.62.
+_FORK_ROWS = 66
 
-# The rows of a table that renders on two processes: ``rows`` yields its
-# ``count`` rows, each built only when it is asked for.  With ``sums``, the
-# stream is a list of values, value n being ``sums`` of row n.
+# The rows of a symbolic table or triangle, which ``_write_rows`` renders:
+# ``rows`` yields its ``count`` rows, each built only when it is asked for.
+# With ``sums``, the stream is a list of values, value n being ``sums`` of row
+# n.  A stream is symbolic: ``_pack_row`` ships the parts of a LambdaPoly and
+# has none for a Fraction, so a table at a rational L is a list and never forks.
 _Stream = namedtuple("_Stream", "rows count sums", defaults=(None,))
-
-
-def _triangle_coefficients(nmax: int) -> int:
-    # of either symbolic triangle: S(n, k) has degree n - k in L, and S(n, 0) = 0 for n > 0
-    return nmax * (nmax + 1) * (nmax + 2) // 6 + 1
-
-
-def _run_coefficients(first) -> int:
-    """The coefficients of the symbolic run from row 0 ``first``, bounded
-    from its degrees in L and counted up to ``_FORK_COEFFICIENTS``.  Cell
-    (n, m) of a run with n > 0 is sum_k S2_L(n, k) T(k, m) over k = 1..n,
-    where S2_L(n, k) has degree n - k and T(k, m), a cell of the run with 1
-    put for L in its weights, at most the largest degree d among entries
-    m..m+k of row 0; so it has degree at most n + max_k (d - k), over the k
-    whose entries are not all zero.  The bound is the count for the bundled
-    seeds, except where kind B of the half seed cancels; it decides as the
-    count does for every bundled run of 0..200 rows."""
-    none = -2 * len(first) - 2  # the degree of zero: below every bound
-    degrees = [v.degree if v.degree >= 0 else none for v in first]
-    total = sum(d + 1 for d in degrees if d >= 0)
-    top, best = degrees, [none] * len(first)
-    for n in range(1, len(first)):
-        if total >= _FORK_COEFFICIENTS:
-            break
-        top = list(map(max, top, degrees[n:]))  # max of entries m..m+n
-        best = list(map(max, best, (d - n for d in top)))  # max_k (d - k), k <= n
-        total += sum(n + 1 + b for b in best if b >= -n)
-    return total
 
 
 def _json_row(row, pad: str) -> str:
@@ -305,16 +270,18 @@ def _unpack_row(data) -> tuple:
 
 def _write_rows(rows, row_text, out: TextIO, first: str = "", between: str = "") -> None:
     """Write ``row_text(n, row)`` of each row in one write, ``first`` before
-    row 0 and ``between`` before each later row.  The rows of a ``_Stream``
-    render on two processes (see ``audit._split_map``): this process runs the
-    recurrence and renders rows 0, 3, 6, ..., and a child forked before row 1
-    renders the others from the integers this process ships it; a stream
-    with ``sums`` writes ``row_text(n, sums(row))``, so the child also sums
-    the rows it is shipped.  A row the child does not send back in full is
+    row 0 and ``between`` before each later row; a stream with ``sums``
+    writes ``row_text(n, sums(row))``.  Every row of a ``_Stream`` is built
+    as it is written, and a stream whose last row is ``_FORK_ROWS`` or later
+    renders on two processes (see ``audit._split_map``): this process runs
+    the recurrence and renders rows 0, 3, 6, ..., and a child forked before
+    row 1 renders (or sums and renders) the others from the integers this
+    process ships it.  A row the child does not send back in full is
     rendered here, so the output is the same bytes either way."""
     sums, theirs = None, ()
     if isinstance(rows, _Stream):
-        rows, sums, theirs = rows.rows, rows.sums, {n for n in range(rows.count) if n % 3}
+        theirs = {n for n in range(rows.count) if n % 3} if rows.count > _FORK_ROWS else ()
+        rows, sums = rows.rows, rows.sums
 
     def work(item):
         n, row = item

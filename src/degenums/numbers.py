@@ -194,19 +194,19 @@ def bell_deg_sequence(nmax: int, x: Scalar = 1, lam: Value = LAM) -> list[Value]
 
 
 def _convolve_at(base: list[Value], x: Fraction, lam: Value) -> list[Value]:
-    # sum_m C(n,m) (x)_{m,L} base[n-m].  Over L: a weighted sum over the triangle
-    # C(n,m) base[n-m], with x = p/q the falling factorial (x)_{m,L} is
-    # prod_{j<m} (p - j q L) / q^m, nested as heads 1/q^m and factors p - j q L.
+    # sum_m C(n,m) (x)_{m,L} base[n-m].  Over L: the nested row function mapped
+    # over the rows C(n,m) base[n-m], each built when it is asked for; with
+    # x = p/q the falling factorial (x)_{m,L} is prod_{j<m} (p - j q L) / q^m,
+    # nested as heads 1/q^m and factors p - j q L.
     # At L = r/s: (x)_{m,L} = P_m / (qs)^m with the integers P_m =
     # prod_{j<m} (ps - jqr), and base[k] = V_k / (d (qs)^k) with integers V_k
     # and d the least such, so row n is the integers C(n,m) V_{n-m} over d (qs)^n.
     p, q = x.numerator, x.denominator
     nmax = len(base) - 1
     if lam is LAM:
-        pascal = StirlingTable(
-            tuple(tuple(base[n - m] * math.comb(n, m) for m in range(n + 1)) for n in range(nmax + 1))
-        )
-        return pascal.nested_sums([Fraction(1, q**m) for m in range(nmax + 1)], (p, 0), (0, -q))
+        nested = StirlingTable.nested_row([Fraction(1, q**m) for m in range(nmax + 1)], (p, 0), (0, -q))
+        rows = (tuple(base[n - m] * math.comb(n, m) for m in range(n + 1)) for n in range(nmax + 1))
+        return list(map(nested, rows))
     r, s = lam.numerator, lam.denominator
     qs = [(q * s) ** k for k in range(nmax + 1)]
     d = math.lcm(*(b.denominator // math.gcd(b.denominator, t) for b, t in zip(base, qs)))

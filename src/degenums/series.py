@@ -223,8 +223,9 @@ class StirlingTable(namedtuple("StirlingTable", "entries")):
     """Triangular table of degenerate Stirling numbers (either kind),
     entries[n][k] for k <= n, as polynomials in L or as rationals at one
     value of L.  Entries outside the triangle read as zero.  The weighted
-    sums take only a table over polynomials in L, and the binomial
-    convolutions of the number families over L sum over such a table too.
+    sums take only a table over polynomials in L; the binomial convolutions
+    of the number families over L map ``nested_row`` over rows built one at
+    a time.
     """
 
     __slots__ = ()

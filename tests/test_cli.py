@@ -737,7 +737,8 @@ def _custom_seed_polys(count):
 
 
 _LARGE_TABLES = [
-    ["matrix", "B", "--seed", "bernoulli", "--rows", "60"],
+    # the smallest Bernoulli run that forks
+    ["matrix", "B", "--seed", "bernoulli", "--rows", "66"],
     ["matrix", "A", "--seed", "half", "--rows", "100"],
     ["numbers", "stirling2", "--nmax", "100"],
     ["matrix", "A", "--seed", "custom", "--rows", "70"],
@@ -782,11 +783,17 @@ def _expected_outputs(argv):
     return {"structured": structured, "flat": flat}
 
 
+def _with_seed_file(argv, tmp_path):
+    # a custom run with its seed file, _custom_seed_polys for each row
+    if "custom" not in argv:
+        return argv
+    text = "".join(p.render() + "\n" for p in _custom_seed_polys(int(argv[5]) + 1))
+    return argv + ["--custom-file", _seed_file(tmp_path, text)]
+
+
 @pytest.mark.parametrize("argv", _LARGE_TABLES, ids=" ".join)
 def test_large_tables_write_the_same_bytes_forked_or_not(argv, tmp_path, monkeypatch, two_cpus):
-    if "custom" in argv:
-        text = "".join(p.render() + "\n" for p in _custom_seed_polys(int(argv[5]) + 1))
-        argv = argv + ["--custom-file", _seed_file(tmp_path, text)]
+    argv = _with_seed_file(argv, tmp_path)
     expected = _expected_outputs(argv)
     fork, forks = os.fork, []
 
@@ -811,13 +818,12 @@ def test_large_tables_write_the_same_bytes_forked_or_not(argv, tmp_path, monkeyp
 _IN_PROCESS = [
     ["verify", "--nmax", "30", "--order", "30"],
     ["audit"],
-    # 47,906 coefficients in its triangle, the largest size under the bound
+    # the largest size under the bound of 66 rows
     ["numbers", "bernoulli", "--nmax", "65"],
     ["numbers", "bernoulli", "--nmax", "100", "--lambda=3/8"],
     # the lambda_eval shape, 5,151 cells; a rational table has at most 20,301
     ["matrix", "B", "--rows", "100", "--lambda=-1/9"],
     ["numbers", "stirling1", "--nmax", "200", "--lambda=-3/7"],
-    # 23,821 coefficients, under the bound
     ["matrix", "B", "--rows", "40"],
 ]
 
@@ -908,26 +914,39 @@ def test_rows_the_child_does_not_send_are_rendered_here(fmt, failure, monkeypatc
     _record_forks(monkeypatch, forks)
     assert _capture(argv + ["--format", fmt]) == (0, _expected_outputs(argv)[fmt], "")
     assert forks == ["fork"]
-    if failure == "exits_after_two_rows":  # rows 1 and 2 from the child, 59 of 61 here
-        assert len(here) == 59
+    if failure == "exits_after_two_rows":  # rows 1 and 2 from the child, 65 of 67 here
+        assert len(here) == 65
     _no_child_left()
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["verify", "--nmax", "4", "--order", "4"], ["matrix", "B", "--rows", "60", "--format", "flat"]],
-    ids=" ".join,
-)
+_FORKING = [["verify", "--nmax", "4", "--order", "4"], ["matrix", "B", "--rows", "66", "--format", "flat"]]
+
+
+def _capture_forked(argv, monkeypatch):
+    # the output of argv, which forks once here: a failure patched in after
+    # this call then stops a fork that would otherwise happen
+    forks = []
+    with monkeypatch.context() as patched:
+        _record_forks(patched, forks)
+        expected = _capture(argv)
+    assert forks == ["fork"]
+    _no_child_left()
+    return expected
+
+
+@pytest.mark.parametrize("argv", _FORKING, ids=" ".join)
 def test_a_failed_pipe_runs_in_this_process(argv, monkeypatch, two_cpus):
     # os.pipe failing is a fork that did not happen: the same bytes, status 0
-    expected = _capture(argv)
+    expected, failed = _capture_forked(argv, monkeypatch), []
 
     def no_pipe():
+        failed.append(1)
         raise OSError(24, "Too many open files")
 
     monkeypatch.setattr(os, "pipe", no_pipe)
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
     assert _capture(argv) == expected and expected[0] == 0 and expected[2] == ""
+    assert failed == [1]
     _no_child_left()
 
 
@@ -1001,20 +1020,33 @@ def test_the_forked_family_child_computes_no_stirling_cell(family, fmt, monkeypa
     _no_child_left()
 
 
+_SYMBOLIC_STREAMS = [
+    *(["numbers", family, "--nmax"] for family in ("stirling1", "stirling2", "bernoulli", "euler", "bell")),
+    *(
+        ["matrix", kind, "--seed", seed, "--rows"]
+        for kind in "AB"
+        for seed in ("bernoulli", "half", "bell", "custom")
+    ),
+]
+
+
 @pytest.mark.parametrize(
     "argv, forks",
-    [
-        (["numbers", "bell", "--nmax", "65"], []),
-        (["numbers", "bell", "--nmax", "66"], ["fork"]),
+    [(argv + ["65"], []) for argv in _SYMBOLIC_STREAMS]
+    + [(argv + ["66"], ["fork"]) for argv in _SYMBOLIC_STREAMS]
+    + [
         (["numbers", "bernoulli", "--nmax", "100", "--lambda=3/8"], []),
+        (["matrix", "B", "--rows", "200", "--lambda=-3/7"], []),
         (["numbers", "bernoulli_at_one", "--nmax", "100"], []),
+        (["numbers", "euler_at_one", "--nmax", "100"], []),
     ],
     ids=" ".join,
 )
-def test_a_family_forks_where_its_triangle_does(argv, forks, monkeypatch, two_cpus):
-    # the symbolic Bernoulli, Euler and Bell numbers fork at the triangles'
-    # bound (nmax 66); a rational L and the *_at_one families never fork
-    events = []
+def test_a_family_forks_where_its_triangle_does(argv, forks, tmp_path, monkeypatch, two_cpus):
+    # every symbolic triangle, family and matrix run forks once from 66 rows
+    # (--nmax or --rows) and never below; a rational L and the *_at_one
+    # families never fork
+    argv, events = _with_seed_file(argv, tmp_path), []
     _record_forks(monkeypatch, events)
     for fmt in ("structured", "flat"):
         events.clear()
@@ -1025,20 +1057,17 @@ def test_a_family_forks_where_its_triangle_does(argv, forks, monkeypatch, two_cp
 
 
 @pytest.mark.parametrize("memfd", ["raises", "absent"])
-@pytest.mark.parametrize(
-    "argv",
-    [["verify", "--nmax", "4", "--order", "4"], ["matrix", "B", "--rows", "60", "--format", "flat"]],
-    ids=" ".join,
-)
+@pytest.mark.parametrize("argv", _FORKING, ids=" ".join)
 def test_a_failed_memory_file_runs_in_this_process(argv, memfd, monkeypatch, two_cpus):
     # like a failed pipe: no fork, the same bytes, status 0; where the second
     # memory file fails, the first is closed
-    expected, made = _capture(argv), []
+    expected, made, failed = _capture_forked(argv, monkeypatch), [], []
     if memfd == "raises":
         real = os.memfd_create
 
         def second_fails(*args, **kwargs):
             if made:
+                failed.append(1)
                 raise OSError(24, "Too many open files")
             made.append(real(*args, **kwargs))
             return made[-1]
@@ -1048,6 +1077,7 @@ def test_a_failed_memory_file_runs_in_this_process(argv, memfd, monkeypatch, two
         monkeypatch.delattr(os, "memfd_create", raising=False)
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
     assert _capture(argv) == expected and expected[0] == 0 and expected[2] == ""
+    assert (len(made), failed) == ((1, [1]) if memfd == "raises" else (0, []))
     for fd in made:
         with pytest.raises(OSError):
             os.fstat(fd)
@@ -1078,49 +1108,6 @@ def test_a_write_that_fails_mid_table_leaves_no_child(monkeypatch, two_cpus):
     assert forks == ["fork"] and out.writes == 3
     _no_child_left()
     assert raised.value.errno == 32
-
-
-def _coefficients(rows):
-    return sum(v.degree + 1 for row in rows for v in row)
-
-
-@pytest.mark.parametrize("kind", ["A", "B"])
-@pytest.mark.parametrize("seed, last_in_process", [("bernoulli", 51), ("half", 65), ("bell", 65)])
-def test_the_fork_bound_decides_as_the_built_table(kind, seed, last_in_process):
-    # each bundled run of this many rows or fewer stays in one process, and one
-    # row more forks; below the bound it is the built count itself, save where
-    # kind B of the half seed cancels
-    from degenums import cli
-
-    spec = {"bernoulli": SequenceSpec.bernoulli, "half": SequenceSpec.half_powers, "bell": SequenceSpec.bell}[seed]()
-    for rows in (last_in_process, last_in_process + 1):
-        table = build_table(kind, spec, rows).rows
-        count, bound = _coefficients(table), cli._run_coefficients(table[0])
-        forks = rows > last_in_process
-        assert (count >= cli._FORK_COEFFICIENTS) == (bound >= cli._FORK_COEFFICIENTS) == forks
-        if not forks:  # above the bound, the count stops once it is reached
-            assert bound >= count if (kind, seed) == ("B", "half") else bound == count
-
-
-@settings(deadline=None, max_examples=40)
-@given(st.sampled_from("AB"), st.lists(st.lists(st.fractions(-3, 3, max_denominator=3), max_size=4), min_size=1, max_size=12))
-def test_the_fork_bound_is_at_least_the_count(kind, coeffs):
-    from degenums import cli
-
-    table = build_table(kind, SequenceSpec.custom([LambdaPoly(c) for c in coeffs]), len(coeffs) - 1).rows
-    assert cli._run_coefficients(table[0]) >= _coefficients(table)
-
-
-@pytest.mark.parametrize("nmax", [0, 1, 5, 65, 66])
-def test_the_triangle_bound_is_the_count(nmax):
-    # 65 stays in one process, 66 forks
-    from degenums import cli
-    from degenums.numbers import stirling1_table
-
-    bound = cli._triangle_coefficients(nmax)
-    for table in (stirling1_table(nmax), stirling2_table(nmax)):
-        assert _coefficients(table.entries) == bound
-    assert (bound >= cli._FORK_COEFFICIENTS) == (nmax >= 66)
 
 
 # -- the identity suite's forked child ------------------------------------------------
