@@ -5,9 +5,10 @@ runs), ``verify`` (identity suite, nonzero exit on any failure) and
 ``audit`` (printed-matrix comparison, always exit 0 since mismatches are
 findings).  Output is a structured JSON record by default or a flat
 tab-separated table with ``--format flat``; every polynomial uses the
-canonical text rendering.  An ``OutputRecord`` payload holds the exact
-values, not their text: each value is rendered as it is written, one row per
-write, so a table is never held as text.  A symbolic ``matrix`` table or
+canonical text rendering.  An ``OutputRecord`` holds exact values, not their
+text, and can be written again.  ``json`` writes it, but for a table's one
+row field, whose values are rendered one row per write in either format, so
+a table is never held as text.  A symbolic ``matrix`` table or
 ``numbers stirling1|stirling2`` triangle streams its rows, each built from
 the one before as it is written and none kept; the symbolic ``numbers
 bernoulli|euler|bell`` stream the second-kind triangle's rows the same way,
@@ -43,6 +44,7 @@ import re
 import sys
 from collections import namedtuple
 from fractions import Fraction
+from functools import partial
 from typing import TextIO
 
 from . import numbers as num
@@ -157,11 +159,11 @@ def _cmd_numbers(args: argparse.Namespace) -> OutputRecord:
     n = args.nmax
     if args.family in _TRIANGLE_FAMILIES:
         if lam is None:
-            payload["rows"] = _Stream(num.triangle_rows(n, args.family == "stirling1"), n + 1)
+            payload["rows"] = _Stream(partial(num.triangle_rows, n, args.family == "stirling1"), n + 1)
         else:
             payload["rows"] = _TRIANGLE_FAMILIES[args.family](n, lam).entries
     elif lam is None and args.family in _ROW_FAMILIES:
-        payload["values"] = _Stream(num.triangle_rows(n), n + 1, num.row_sums(args.family, n))
+        payload["values"] = _Stream(partial(num.triangle_rows, n), n + 1, num.row_sums(args.family, n))
     else:
         payload["values"] = _SEQUENCE_FAMILIES[args.family](n, LAM if lam is None else lam)
     return OutputRecord("number_table", payload)
@@ -177,7 +179,7 @@ def _cmd_matrix(args: argparse.Namespace) -> OutputRecord:
     else:
         seed = _SEED_NAMES[args.seed]()
     if lam is None:  # row 0 here: a short custom seed raises before any output
-        table = _Stream(table_rows(args.kind, seed.values(args.rows + 1)), args.rows + 1)
+        table = _Stream(partial(table_rows, args.kind, seed.values(args.rows + 1)), args.rows + 1)
     else:  # at most 20,301 cells at the 200 ceilings
         table = build_table(args.kind, seed, args.rows, lam).rows
     payload = {
@@ -239,19 +241,17 @@ def _cmd_audit(args: argparse.Namespace) -> OutputRecord:
 _FORK_ROWS = 66
 
 # The rows of a symbolic table or triangle, which ``_write_rows`` renders:
-# ``rows`` yields its ``count`` rows, each built only when it is asked for.
-# With ``sums``, the stream is a list of values, value n being ``sums`` of row
-# n.  A stream is symbolic: ``_pack_row`` ships the parts of a LambdaPoly and
-# has none for a Fraction, so a table at a rational L is a list and never forks.
+# ``rows()`` yields its ``count`` rows, each built only when it is asked for,
+# afresh at each call, so a record can be written more than once.  With
+# ``sums``, the stream is a list of values, value n being ``sums`` of row n.
+# A stream is symbolic: ``_pack_row`` ships the parts of a LambdaPoly and has
+# none for a Fraction, so a table at a rational L is a list and never forks.
 _Stream = namedtuple("_Stream", "rows count sums", defaults=(None,))
 
 
-def _json_row(row, pad: str) -> str:
-    """A row of exact values as json.dumps(row, indent=2) writes it at indent ``pad``."""
-    if not row:
-        return "[]"
-    inner = "\n" + pad + "  "
-    return f'[{inner}"' + f'",{inner}"'.join(map(_fmt, row)) + f'"\n{pad}]'
+def _json_row(n: int, row) -> str:
+    """Row n of exact values as json.dumps writes it in a table's row field."""
+    return '[\n        "' + '",\n        "'.join(map(_fmt, row)) + '"\n      ]' if row else "[]"
 
 
 def _flat_row(n: int, row) -> str:
@@ -281,7 +281,7 @@ def _write_rows(rows, row_text, out: TextIO, first: str = "", between: str = "")
     sums, theirs = None, ()
     if isinstance(rows, _Stream):
         theirs = {n for n in range(rows.count) if n % 3} if rows.count > _FORK_ROWS else ()
-        rows, sums = rows.rows, rows.sums
+        rows, sums = rows.rows(), rows.sums
 
     def work(item):
         n, row = item
@@ -296,51 +296,33 @@ def _write_rows(rows, row_text, out: TextIO, first: str = "", between: str = "")
         texts.close()  # a failed write reaps the child now, not when the traceback goes
 
 
-def _write_json(value: object, out: TextIO, pad: str) -> None:
-    """Write exactly the bytes of json.dump(value, out, indent=2) at indent
-    ``pad``, a LambdaPoly or Fraction as its quoted rendering: the canonical
-    alphabet [0-9/*L^ +-] needs no JSON escape."""
-    inner = "\n" + pad + "  "
-    if isinstance(value, (LambdaPoly, Fraction)):
-        out.write(f'"{_fmt(value)}"')
-    elif not value or not isinstance(value, (dict, list, tuple)):
-        out.write(json.dumps(value))
-    elif isinstance(value, dict):
-        sep = "{"
-        for key, item in value.items():
-            out.write(f"{sep}{inner}{json.dumps(key)}: ")
-            _write_json(item, out, pad + "  ")
-            sep = ","
-        out.write(f"\n{pad}}}")
-    elif isinstance(value[0], dict):
-        sep = "["
-        for item in value:
-            out.write(sep + inner)
-            _write_json(item, out, pad + "  ")
-            sep = ","
-        out.write(f"\n{pad}]")
-    elif isinstance(value, _Stream) and value.sums:  # values, one write each
-        _write_rows(value, lambda n, v: f'"{_fmt(v)}"', out, "[" + inner, "," + inner)
-        out.write(f"\n{pad}]")
-    elif isinstance(value, _Stream) or isinstance(value[0], (list, tuple)):  # rows, one write each
-        row_pad = pad + "  "
-        _write_rows(value, lambda n, row: _json_row(row, row_pad), out, "[" + inner, "," + inner)
-        out.write(f"\n{pad}]")
-    else:  # a row of exact values, in one write
-        out.write(_json_row(value, pad))
+def _row_field(record: OutputRecord) -> str | None:
+    """The one payload field of a table that is written one row per write,
+    its last key (``values``, ``rows`` or ``table``); a report has none."""
+    return [*record.payload][-1] if record.kind in ("number_table", "matrix") else None
 
 
 def to_structured(record: OutputRecord, out: TextIO) -> None:
-    _write_json({"kind": record.kind, "payload": record.payload}, out, "")
-    out.write("\n")
+    """Write json.dumps(record, indent=2) and a newline, an exact value as
+    its quoted rendering (the canonical alphabet [0-9/*L^ +-] needs no JSON
+    escape), a table's row field through ``_write_rows`` at json's indent."""
+    field, p = _row_field(record), record.payload
+    if field is None or not p[field]:
+        out.write(json.dumps(record._asdict(), indent=2, default=_fmt) + "\n")
+        return
+    head = json.dumps({"kind": record.kind, "payload": {**p, field: []}}, indent=2, default=_fmt)
+    out.write(head.removesuffix("[]\n  }\n}"))
+    row_text = (lambda n, value: f'"{_fmt(value)}"') if field == "values" else _json_row
+    _write_rows(p[field], row_text, out, "[\n      ", ",\n      ")
+    out.write("\n    ]\n  }\n}\n")
 
 
 def to_flat(record: OutputRecord, out: TextIO) -> None:
-    p = record.payload
-    if "values" in p:
-        _write_rows(p["values"], lambda n, value: f"{n}\t{_fmt(value)}\n", out)
-    elif record.kind in ("number_table", "matrix"):
-        _write_rows(p["table"] if record.kind == "matrix" else p["rows"], _flat_row, out)
+    field, p = _row_field(record), record.payload
+    if field == "values":
+        _write_rows(p[field], lambda n, value: f"{n}\t{_fmt(value)}\n", out)
+    elif field:
+        _write_rows(p[field], _flat_row, out)
     elif record.kind == "identity_report":
         for r in p["results"]:
             state = "true" if r["pass"] else "false"

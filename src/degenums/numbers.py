@@ -13,13 +13,13 @@ and Bell numbers are closed weighted sums over the second-kind triangle; the
 polynomial values at x come from the binomial convolution with degenerate
 falling factorials of x.  The Bernoulli weights and the falling factorials
 are products of linear factors in L, so over polynomials in L those sums run
-by Horner's rule (``StirlingTable.nested_row``).  Each symbolic sum is one
-function of a row, so the Bernoulli, Euler and Bell numbers are also read
-off rows streamed from ``triangle_rows``, none kept (``row_sums``).  At a
-rational L every one of these sums is integer rows against integer weights,
-one dot product per row reduced once (``_dots``).  Each family takes L as
-``lam``: LAM (the default) gives polynomials in L, a Fraction the same
-numbers at that value.
+by Horner's rule (``StirlingTable.nested_row``).  Each family's sum is one
+function of a row in both rings, built once by ``row_sums``: the Bernoulli,
+Euler and Bell sequences map it over the triangle's rows, and the CLI over
+rows streamed from ``triangle_rows``, none kept.  At a rational L every one
+of these sums is an integer row against integer weights, one dot product
+per row reduced once (``_dots``).  Each family takes L as ``lam``: LAM (the
+default) gives polynomials in L, a Fraction the same numbers at that value.
 """
 
 from __future__ import annotations
@@ -30,7 +30,9 @@ from collections.abc import Callable, Iterator
 from fractions import Fraction
 from itertools import chain, count, repeat
 
-from .exact import LAM, ONE, Scalar, Value, as_fraction, linear_products, ring_one, times_linear_add
+from .exact import (
+    LAM, ONE, Scalar, Value, as_fraction, check_lam, linear_products, ring_one, times_linear_add,
+)
 from .series import StirlingTable, _store
 
 __all__ = [
@@ -91,56 +93,40 @@ def _table(rows: list[tuple], lam: Value) -> StirlingTable:
     return StirlingTable(tuple(rows))
 
 
-def _dots(rows, dens: list[int], weights: list) -> list[Fraction]:
-    # [sum_k rows[n][k] weights[k] / dens[n]] for integer rows: one integer dot
-    # product per row over the weights' common denominator d, reduced once
+def _dots(weights: list, dens: list[int]) -> Callable[[tuple], Fraction]:
+    # integer row n (n + 1 entries) -> sum_k row[k] weights[k] / dens[n]: one
+    # integer dot product over the weights' common denominator d, reduced once
     # into a Fraction by d dens[n].  Every weighted sum at a rational L is this.
     d = math.lcm(*(w.denominator for w in weights))
     ws = [w.numerator * (d // w.denominator) for w in weights]
-    return [Fraction(sum(map(operator.mul, row, ws)), d * den) for row, den in zip(rows, dens)]
+    ds = [d * den for den in dens]
+    return lambda row: Fraction(sum(map(operator.mul, row, ws)), ds[len(row) - 1])
 
 
-def _stirling2_sums(nmax: int, lam: Value, heads: list, nested: tuple = ()) -> list[Value]:
-    # [sum_k S(n, k) w_k for n = 0..nmax], w_k = heads[k] or, for nested =
-    # (start, step), nested_sums' weights; at L = p/q, q^k w_k is heads[k] times
-    # the integer prod_{j<k} q f_j, so row n of the scaled rows sums over q^n.
+def row_sums(family: str, nmax: int, lam: Value = LAM, x: Scalar = 1) -> Callable[[tuple], Value]:
+    """The function that takes row n <= nmax of the second-kind triangle to
+    entry n of the ``family`` sequence ("bernoulli", "euler" or "bell", the
+    Bell polynomial at x), its weights built once.  Over L (lam = LAM) it
+    takes row n of ``triangle_rows``, by Horner's rule for the nested
+    Bernoulli weights (``StirlingTable.nested_row``) and as one sum of
+    products for the others (``StirlingTable.weighted_row``).  At L = p/q it
+    takes the integer row q^(n-k) S(n, k): weight k times q^k is head k
+    times the integer prod_{j<k} q f_j, so the row is one integer dot
+    product over d q^n (``_dots``)."""
+    check_lam(lam, "row_sums")
+    x = as_fraction(x, "row_sums")
+    head = {
+        "bernoulli": lambda k: Fraction((-1) ** k, k + 1),
+        "euler": lambda k: Fraction((-1) ** k * math.factorial(k), 2**k),
+        "bell": lambda k: x**k,
+    }[family]
+    heads = list(map(head, range(nmax + 1)))
+    nested = ((1, -1), (1, 0)) if family == "bernoulli" else ()
     if lam is LAM:
-        return list(map(_row_sum(heads, nested), stirling2_table(nmax).entries))
-    rows = _stirling_rows(nmax, lam)
+        return StirlingTable.nested_row(heads, *nested) if nested else StirlingTable.weighted_row(heads)
     ((a, b), (da, db)), p, q = nested or ((1, 0), (0, 0)), lam.numerator, lam.denominator
-    ws = [h * f for h, f in zip(heads, linear_products(a * q + b * p, da * q + db * p, nmax))]
-    return _dots(rows, [q**n for n in range(nmax + 1)], ws)
-
-
-def _row_sum(heads: list, nested: tuple) -> Callable[[tuple], Value]:
-    # the symbolic row -> sum_k S(n, k) w_k, its weights built once
-    return StirlingTable.nested_row(heads, *nested) if nested else StirlingTable.weighted_row(heads)
-
-
-# The weights of each family over row n of the second-kind triangle, k = 0..nmax:
-# (heads, nested) as _stirling2_sums takes them.
-def _bernoulli_weights(nmax: int) -> tuple[list, tuple]:
-    return [Fraction((-1) ** k, k + 1) for k in range(nmax + 1)], ((1, -1), (1, 0))
-
-
-def _euler_weights(nmax: int) -> tuple[list, tuple]:
-    return [Fraction((-1) ** k * math.factorial(k), 2**k) for k in range(nmax + 1)], ()
-
-
-def _bell_weights(nmax: int, x: Fraction = Fraction(1)) -> tuple[list, tuple]:
-    return [x**k for k in range(nmax + 1)], ()
-
-
-_FAMILY_WEIGHTS = {"bernoulli": _bernoulli_weights, "euler": _euler_weights, "bell": _bell_weights}
-
-
-def row_sums(family: str, nmax: int) -> Callable[[tuple], Value]:
-    """The function that takes row n of ``triangle_rows(nmax)`` to entry n of
-    the symbolic ``family`` sequence ("bernoulli", "euler" or "bell"), its
-    weights built once: mapped over those rows, it gives
-    ``bernoulli_deg_sequence(nmax)`` (or the Euler or Bell numbers) without
-    holding the triangle."""
-    return _row_sum(*_FAMILY_WEIGHTS[family](nmax))
+    ws = map(operator.mul, heads, linear_products(a * q + b * p, da * q + db * p, nmax))
+    return _dots(list(ws), [q**n for n in range(nmax + 1)])
 
 
 def triangle_rows(nmax: int, first: bool = False) -> Iterator[tuple]:
@@ -179,18 +165,21 @@ def bernoulli_deg_sequence(nmax: int, lam: Value = LAM) -> list[Value]:
     """Degenerate Bernoulli numbers for n = 0..nmax: weight k is
     (-1)^k (1-L)(2-L)...(k-L) / (k+1), nested as heads (-1)^k/(k+1) and
     factors (k+1) - L."""
-    return _stirling2_sums(nmax, lam, *_bernoulli_weights(nmax))
+    rows = _stirling_rows(nmax, lam)
+    return list(map(row_sums("bernoulli", nmax, lam), rows))
 
 
 def euler_deg_sequence(nmax: int, lam: Value = LAM) -> list[Value]:
     """Degenerate Euler numbers for n = 0..nmax."""
-    return _stirling2_sums(nmax, lam, *_euler_weights(nmax))
+    rows = _stirling_rows(nmax, lam)
+    return list(map(row_sums("euler", nmax, lam), rows))
 
 
 def bell_deg_sequence(nmax: int, x: Scalar = 1, lam: Value = LAM) -> list[Value]:
     """Degenerate Bell polynomial values at x for n = 0..nmax (x = 1 gives
     the degenerate Bell numbers)."""
-    return _stirling2_sums(nmax, lam, *_bell_weights(nmax, as_fraction(x, "bell_deg_sequence")))
+    x, rows = as_fraction(x, "bell_deg_sequence"), _stirling_rows(nmax, lam)
+    return list(map(row_sums("bell", nmax, lam, x), rows))
 
 
 def _convolve_at(base: list[Value], x: Fraction, lam: Value) -> list[Value]:
@@ -211,8 +200,8 @@ def _convolve_at(base: list[Value], x: Fraction, lam: Value) -> list[Value]:
     qs = [(q * s) ** k for k in range(nmax + 1)]
     d = math.lcm(*(b.denominator // math.gcd(b.denominator, t) for b, t in zip(base, qs)))
     vs = [b.numerator * (d * t // b.denominator) for b, t in zip(base, qs)]
-    rows = (map(operator.mul, map(math.comb, repeat(n), range(n + 1)), vs[n::-1]) for n in range(nmax + 1))
-    return _dots(rows, [d * t for t in qs], linear_products(p * s, -q * r, nmax))
+    rows = (tuple(math.comb(n, m) * vs[n - m] for m in range(n + 1)) for n in range(nmax + 1))
+    return list(map(_dots(linear_products(p * s, -q * r, nmax), [d * t for t in qs]), rows))
 
 
 def bernoulli_deg_poly_sequence(nmax: int, x: Scalar, lam: Value = LAM) -> list[Value]:

@@ -223,9 +223,10 @@ class StirlingTable(namedtuple("StirlingTable", "entries")):
     """Triangular table of degenerate Stirling numbers (either kind),
     entries[n][k] for k <= n, as polynomials in L or as rationals at one
     value of L.  Entries outside the triangle read as zero.  The weighted
-    sums take only a table over polynomials in L; the binomial convolutions
-    of the number families over L map ``nested_row`` over rows built one at
-    a time.
+    sums take only a table over polynomials in L.  Their two row functions,
+    ``weighted_row`` and the Horner loop ``nested_row``, also serve rows built
+    one at a time: the number families over L and their binomial
+    convolutions map them over such rows.
     """
 
     __slots__ = ()
@@ -254,46 +255,35 @@ class StirlingTable(namedtuple("StirlingTable", "entries")):
             return self.entries[0][0] * 0
         return self.entries[n][k]
 
-    def _poly_rows(self, weights: Sequence) -> tuple[tuple[LambdaPoly, ...], ...]:
+    def weighted_sums(self, weights: Sequence[LambdaPoly | Scalar]) -> list[LambdaPoly]:
+        """[sum_k entry(n, k) * weights[k] for n = 0..nmax] over polynomials
+        in L, ``weighted_row(weights)`` mapped over the rows (weights may be
+        plain rationals).  At a rational L the sums run on the integer rows
+        of ``numbers``, so a table of rationals is refused."""
         if len(weights) <= self.nmax:
             raise ValueError(f"need {self.nmax + 1} weights, got {len(weights)}")
         if not isinstance(self.entries[0][0], LambdaPoly):
             raise ValueError("weighted sums take a table over polynomials in L")
-        return self.entries
-
-    def weighted_sums(self, weights: Sequence[LambdaPoly | Scalar]) -> list[LambdaPoly]:
-        """[sum_k entry(n, k) * weights[k] for n = 0..nmax] over polynomials
-        in L, ``weighted_row(weights)`` mapped over the rows (weights may be
-        plain rationals): every weighted Stirling sum over a plain weight
-        vector goes through that one row function, here or over rows streamed
-        one at a time (``numbers.row_sums``).  At a rational L the sums run on
-        the integer rows of ``numbers``, so a table of rationals is refused."""
-        return list(map(self.weighted_row(weights), self._poly_rows(weights)))
-
-    def nested_sums(
-        self, heads: Sequence[Scalar], start: tuple[int, int], step: tuple[int, int]
-    ) -> list[LambdaPoly]:
-        """The weighted sums for nested weights w_k = heads[k] prod_{j<k} f_j:
-        rational heads and linear factors f_j = (a + j da) + (b + j db) L from
-        the integer pairs start = (a, b) and step = (da, db), over polynomials
-        in L, ``nested_row(heads, start, step)`` mapped over the rows: the
-        one Horner loop, here or over rows streamed one at a time
-        (``numbers.row_sums``)."""
-        return list(map(self.nested_row(heads, start, step), self._poly_rows(heads)))
+        return list(map(self.weighted_row(weights), self.entries))
 
     @staticmethod
     def weighted_row(weights: Sequence[LambdaPoly | Scalar]) -> Callable[[tuple], LambdaPoly]:
         """The function of a row that ``weighted_sums`` maps: row -> sum_k
-        row[k] * weights[k], one ``sum_of_products``."""
+        row[k] * weights[k], one ``sum_of_products``; every weighted Stirling
+        sum over a plain weight vector is this, on a table or on rows streamed
+        one at a time (``numbers.row_sums``)."""
         return lambda row: LambdaPoly.sum_of_products(zip(row, weights))
 
     @staticmethod
     def nested_row(
         heads: Sequence[Scalar], start: tuple[int, int], step: tuple[int, int]
     ) -> Callable[[tuple], LambdaPoly]:
-        """The function of a row that ``nested_sums`` maps: the row by
-        Horner's rule, t_0 h_0 + f_0 (t_1 h_1 + f_1 (...)), one fused
-        ``mul_linear_add`` per step, so no step multiplies two polynomials."""
+        """The function that takes a row to its weighted sum for nested
+        weights w_k = heads[k] prod_{j<k} f_j: rational heads and linear
+        factors f_j = (a + j da) + (b + j db) L from the integer pairs
+        start = (a, b) and step = (da, db), by Horner's rule, t_0 h_0 + f_0
+        (t_1 h_1 + f_1 (...)), one fused ``mul_linear_add`` per step, so no
+        step multiplies two polynomials."""
         (a, b), (da, db) = start, step
 
         def nested(row: tuple) -> LambdaPoly:

@@ -598,6 +598,28 @@ def test_canonical_text_needs_no_json_escaping(coeffs, q):
         assert json.dumps(text) == '"' + text + '"'
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["matrix", "B", "--rows", "3"],
+        ["numbers", "stirling2", "--nmax", "3"],
+        ["numbers", "bernoulli", "--nmax", "3"],
+    ],
+    ids=" ".join,
+)
+def test_a_symbolic_record_writes_the_same_bytes_every_time(argv):
+    # each write of a streamed table builds its rows afresh
+    from degenums import cli
+
+    args = cli.build_parser().parse_args(argv)
+    record = (cli._cmd_matrix if args.command == "matrix" else cli._cmd_numbers)(args)
+    expected = {fmt: _capture(argv + ["--format", fmt])[1] for fmt in ("flat", "structured")}
+    for fmt, write in [("flat", cli.to_flat), ("structured", cli.to_structured)] * 2:
+        out = io.StringIO()
+        write(record, out)
+        assert out.getvalue() == expected[fmt] and expected[fmt]
+
+
 class _WriteRecorder(io.StringIO):
     def __init__(self):
         super().__init__()

@@ -328,6 +328,22 @@ def test_scalar_lane_of_every_family(lam):
         assert lane == [p.eval_at(lam) for p in run(LAM)]
 
 
+@pytest.mark.parametrize("lam", _LANE_POINTS + (F(9999999999, 9999999998),))
+@pytest.mark.parametrize("family, x", [("bernoulli", 1), ("euler", 1), ("bell", 1), ("bell", F(-2, 3))])
+def test_row_sums_of_the_integer_rows_are_the_evaluated_sequence(family, x, lam):
+    # at L = p/q the row function takes the integer row q^(n-k) S(n, k) to
+    # entry n, the symbolic row function's value over the symbolic row at L
+    nmax = 12
+    symbolic = list(map(numbers.row_sums(family, nmax, x=x), numbers.triangle_rows(nmax)))
+    sequence = {"bernoulli": bernoulli_deg_sequence, "euler": euler_deg_sequence}
+    assert symbolic == sequence.get(family, lambda n: bell_deg_sequence(n, x))(nmax)
+    rows = numbers._stirling_rows(nmax, lam)
+    assert all(type(v) is int for row in rows for v in row)
+    lane = list(map(numbers.row_sums(family, nmax, lam, x), rows))
+    assert all(type(v) is F for v in lane)
+    assert lane == [v.eval_at(lam) for v in symbolic]
+
+
 def _cli_values(nmax, lam):
     # every value the numbers and matrix commands print at one value of L:
     # both Stirling triangles, the five families and the six bundled runs

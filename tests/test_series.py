@@ -311,7 +311,7 @@ def test_rational_weighted_sums_are_the_fraction_sums(nmax, data):
     ]
     dens = data.draw(st.lists(st.integers(1, 60), min_size=nmax + 1, max_size=nmax + 1))
     weights = data.draw(st.lists(lane_scalars, min_size=nmax + 1, max_size=nmax + 3))
-    sums = _dots(rows, dens, weights)
+    sums = list(map(_dots(weights, dens), rows))
     assert all(type(v) is F for v in sums)
     assert sums == [
         sum((F(c) * F(w) for c, w in zip(row, weights)), F(0)) / den
@@ -364,7 +364,7 @@ def test_nested_weighted_sums_equal_the_multiplied_out_vector(make_table, nmax, 
     start = data.draw(st.tuples(small_ints, small_ints))
     step = data.draw(st.tuples(small_ints, small_ints))
     direct = _direct_weights(heads, start, step)
-    symbolic = make_table(nmax).nested_sums(heads, start, step)
+    symbolic = list(map(StirlingTable.nested_row(heads, start, step), make_table(nmax).entries))
     assert symbolic == make_table(nmax).weighted_sums(direct)
 
 
@@ -386,16 +386,9 @@ def test_nested_convolution_is_the_binomial_sum(nmax, x, data):
         assert lane == [v.eval_at(lam) for v in direct]
 
 
-def test_nested_weights_need_a_head_per_column():
-    with pytest.raises(ValueError, match="need 4 weights"):
-        stirling2_table(3).nested_sums((1, 1, 1), (1, -1), (1, 0))
-
-
 def test_nested_weights_must_match_the_ring_of_the_entries():
     # at a rational L the sums run on numbers' integer rows, never on a table
     heads, table = (1, 1, 1, 1), stirling2_table(3, F(1, 2))
-    with pytest.raises(ValueError, match="a table over polynomials in L"):
-        table.nested_sums(heads, (1, -1), (1, 0))
     with pytest.raises(ValueError, match="a table over polynomials in L"):
         table.weighted_sums(heads)
 
