@@ -14,7 +14,9 @@ the degenerate Bernoulli and Euler polynomial values at 1 (kind A); the
 closed forms and generating-function transforms here give independent
 routes to the same values, reading kind A as kind B of the differenced
 seed a_m - a_{m-1}.  The seeds and the table run take the value of L as
-``lam``: LAM (the default) for polynomials in L, or a rational value.
+``lam``: LAM (the default) for polynomials in L, or a rational value, at
+which ``table_rows`` steps reduced integer pairs and ``build_table`` makes a
+Fraction of each once.
 A custom seed holds its entries as polynomials in L, evaluated at ``lam``.
 While the identity suite runs, ``build_table`` keeps the longest symbolic
 run of each (kind, seed) and answers a shorter request with its
@@ -27,12 +29,14 @@ import math
 from collections import namedtuple
 from collections.abc import Iterator
 from fractions import Fraction
+from itertools import repeat
 
 from .exact import (
     LAM,
     ONE,
     LambdaPoly,
     Value,
+    as_fraction,
     check_lam,
     linear_products,
     ring_one,
@@ -158,23 +162,49 @@ def build_table(kind: str, seed: SequenceSpec, rows: int, lam: Value = LAM) -> A
     kept = store.get((kind, seed))
     if kept is not None and rows <= kept.row_count:
         return AlgorithmTable(tuple(kept.rows[n][: rows + 1 - n] for n in range(rows + 1)))
-    store[kind, seed] = run = AlgorithmTable(tuple(table_rows(kind, seed.values(rows + 1, lam), lam)))
-    return run
+    run = table_rows(kind, seed.values(rows + 1, lam), lam)
+    if lam is not LAM:
+        run = (tuple(Fraction(*cell) for cell in row) for row in run)
+    store[kind, seed] = table = AlgorithmTable(tuple(run))
+    return table
 
 
-def table_rows(kind: str, first: list[Value], lam: Value = LAM) -> Iterator[tuple[Value, ...]]:
+def table_rows(kind: str, first: list[Value], lam: Value = LAM) -> Iterator[tuple]:
     """The rows of the run of ``kind`` ("B" or "A", not checked here) from
     row 0 ``first`` at L = lam, one at a time: row n, of len(first) - n
     cells, is built from row n - 1 only when it is asked for.  ``build_table``
-    keeps every row; a caller that needs each row once holds one at a time."""
+    keeps every row; a caller that needs each row once holds one at a time.
+    At a rational lam = p/q each cell is its reduced pair (numerator,
+    denominator > 0), which ``exact.format_pairs`` renders: with x = xn/xd,
+    y = yn/yd and g = gcd(xd, yd), cell x (a + b lam) + c y is the integers
+    xn (aq + bp) (yd/g) + c q yn (xd/g) over q xd (yd/g), reduced by one gcd,
+    and no Fraction is made."""
     shift = 0 if kind == "B" else 1
-    prev = tuple(first)
+    if lam is LAM:
+        prev = tuple(first)
+        yield prev
+        for n in range(1, len(prev)):
+            prev = tuple(
+                times_linear_add(prev[m], m + shift, 1 - n, prev[m + 1], -(m + 1), lam)
+                for m in range(len(prev) - 1)
+            )
+            yield prev
+        return
+    check_lam(lam, "table_rows")
+    p, q, gcd = lam.numerator, lam.denominator, math.gcd
+    prev = tuple((v.numerator, v.denominator) for v in map(as_fraction, first, repeat("table_rows")))
     yield prev
     for n in range(1, len(prev)):
-        prev = tuple(
-            times_linear_add(prev[m], m + shift, 1 - n, prev[m + 1], -(m + 1), lam)
-            for m in range(len(prev) - 1)
-        )
+        row, bp = [], (1 - n) * p
+        for m in range(len(prev) - 1):
+            (xn, xd), (yn, yd) = prev[m], prev[m + 1]
+            g = gcd(xd, yd)
+            yd //= g
+            num = xn * ((m + shift) * q + bp) * yd - (m + 1) * q * yn * (xd // g)
+            den = q * xd * yd
+            g = gcd(num, den)
+            row.append((num // g, den // g))
+        prev = tuple(row)
         yield prev
 
 

@@ -18,9 +18,12 @@ process runs the recurrence, ships two rows in three to the child as
 integers through a memory file and renders the third, and the child renders
 (or sums and renders) the rows it is shipped; the output is byte-identical
 and still one row per write.  The ``*_at_one`` families and everything at a
-rational L are built whole and render here, as does every row where nothing
-forks: below 66, where the platform cannot fork or make a memory file, where
-either fails or a pipe does, on one CPU, or beside other threads.  ``verify``
+rational L are built whole and render here; a table or triangle at a
+rational L is a list of rows of reduced integer pairs, which
+``exact.format_pairs`` renders, with no Fraction per cell.  Every row where
+nothing forks renders here too: below 66, where the platform cannot fork or
+make a memory file, where either fails or a pipe does, on one CPU, or beside
+other threads.  ``verify``
 checks its identities on two processes under the same rule, through the same
 helper (``audit._split_map``), and renders its small report here.  A
 rational substitution for L can be supplied as ``--lambda p/q``; decimals
@@ -45,12 +48,14 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 from functools import partial
-from typing import TextIO
+from typing import Iterable, TextIO
 
 from . import numbers as num
-from .algorithms import SequenceSpec, build_table, table_rows
+# build_table is bound here, though no command calls it, for the tracer of
+# perfbench/, which wraps it in every namespace that binds it
+from .algorithms import SequenceSpec, build_table, table_rows  # noqa: F401
 from .audit import _split_map, audit_printed_matrices, run_identity_suite
-from .exact import LAM, LambdaPoly, Value, format_rat, parse_rat
+from .exact import LAM, LambdaPoly, Value, format_pairs, format_rat, parse_rat
 
 __all__ = ["OutputRecord", "build_parser", "main", "console_main"]
 
@@ -158,10 +163,11 @@ def _cmd_numbers(args: argparse.Namespace) -> OutputRecord:
     }
     n = args.nmax
     if args.family in _TRIANGLE_FAMILIES:
+        first = args.family == "stirling1"
         if lam is None:
-            payload["rows"] = _Stream(partial(num.triangle_rows, n, args.family == "stirling1"), n + 1)
+            payload["rows"] = _Stream(partial(num.triangle_rows, n, first), n + 1)
         else:
-            payload["rows"] = _TRIANGLE_FAMILIES[args.family](n, lam).entries
+            payload["rows"] = list(num.triangle_rows(n, first, lam))
     elif lam is None and args.family in _ROW_FAMILIES:
         payload["values"] = _Stream(partial(num.triangle_rows, n), n + 1, num.row_sums(args.family, n))
     else:
@@ -180,8 +186,8 @@ def _cmd_matrix(args: argparse.Namespace) -> OutputRecord:
         seed = _SEED_NAMES[args.seed]()
     if lam is None:  # row 0 here: a short custom seed raises before any output
         table = _Stream(partial(table_rows, args.kind, seed.values(args.rows + 1)), args.rows + 1)
-    else:  # at most 20,301 cells at the 200 ceilings
-        table = build_table(args.kind, seed, args.rows, lam).rows
+    else:  # reduced integer pairs, at most 20,301 at the 200 ceilings
+        table = list(table_rows(args.kind, seed.values(args.rows + 1, lam), lam))
     payload = {
         "algorithm": args.kind,
         "seed": args.seed,
@@ -245,17 +251,24 @@ _FORK_ROWS = 66
 # afresh at each call, so a record can be written more than once.  With
 # ``sums``, the stream is a list of values, value n being ``sums`` of row n.
 # A stream is symbolic: ``_pack_row`` ships the parts of a LambdaPoly and has
-# none for a Fraction, so a table at a rational L is a list and never forks.
+# none for a pair, so a table at a rational L is a list of pair rows, built
+# whole, and never forks.
 _Stream = namedtuple("_Stream", "rows count sums", defaults=(None,))
+
+
+def _texts(row) -> Iterable[str]:
+    """The renderings of a row of exact values, or of reduced integer pairs
+    (a table at a rational L)."""
+    return format_pairs(row) if row and type(row[0]) is tuple else map(_fmt, row)
 
 
 def _json_row(n: int, row) -> str:
     """Row n of exact values as json.dumps writes it in a table's row field."""
-    return '[\n        "' + '",\n        "'.join(map(_fmt, row)) + '"\n      ]' if row else "[]"
+    return '[\n        "' + '",\n        "'.join(_texts(row)) + '"\n      ]' if row else "[]"
 
 
 def _flat_row(n: int, row) -> str:
-    return "".join(f"{n}\t{k}\t{_fmt(v)}\n" for k, v in enumerate(row))
+    return "".join(f"{n}\t{k}\t{text}\n" for k, text in enumerate(_texts(row)))
 
 
 def _pack_row(item) -> tuple:

@@ -32,6 +32,7 @@ __all__ = [
     "ONE",
     "LAM",
     "format_rat",
+    "format_pairs",
     "as_fraction",
     "parse_rat",
     "check_lam",
@@ -52,6 +53,12 @@ def format_rat(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
+
+
+def format_pairs(row: Iterable[tuple[int, int]]) -> list[str]:
+    """``format_rat`` of each reduced pair (numerator, denominator > 0) of a
+    row, the same bytes with no Fraction made."""
+    return [str(n) if d == 1 else f"{n}/{d}" for n, d in row]
 
 
 def as_fraction(x: Scalar, who: str) -> Fraction:
@@ -346,9 +353,11 @@ LAM = LambdaPoly((0, 1))
 # Both share +, - and *, and multiplying by an int or a Fraction is scaling
 # in either.  ``check_lam`` and ``ring_one`` below name the ring that ``lam``
 # picks, and more places branch on it by ``lam is LAM``: ``times_linear_add``
-# (its kernels), the Stirling rows and weighted sums of ``numbers`` (integers
-# at a rational), ``SequenceSpec.values`` (custom entries evaluated at a
-# rational) and ``build_table`` (only runs over L are kept).
+# (a LambdaPoly kernel, or plain ints), the Stirling rows and weighted sums
+# of ``numbers`` (integers at a rational), ``SequenceSpec.values`` (custom
+# entries evaluated at a rational), ``algorithms.table_rows`` (each cell a
+# reduced integer pair at a rational, which ``format_pairs`` renders) and
+# ``build_table`` (only runs over L are kept).
 Value = LambdaPoly | Scalar
 
 
@@ -371,24 +380,17 @@ def ring_one(lam: Value) -> Value:
 
 
 def times_linear_add(x: Value, a: int, b: int, y: Value, c: Scalar, lam: Value) -> Value:
-    """x * (a + b lam) + c y for integers a and b and a rational c: by
-    ``LambdaPoly.mul_linear_add`` when lam is LAM itself, in plain ints when
-    x, y, c and lam are ints, else at lam = p/q as one Fraction reduced once:
-    with g = gcd(xd, yd), xn (aq + bp) (yd/g) cd + cn q yn (xd/g) over q xd (yd/g) cd."""
+    """x * (a + b lam) + c y for integers a and b: by
+    ``LambdaPoly.mul_linear_add`` for a rational c when lam is LAM itself,
+    else in plain ints, as in the Stirling rows at a rational L.  The
+    kind-A/B cells at a rational L are reduced integer pairs, stepped in
+    ``algorithms.table_rows``."""
     if lam is LAM:
         return x.mul_linear_add(a, b, y, c)
     if int is type(lam) is type(x) is type(y) is type(c):
         return x * (a + b * lam) + c * y
-    if not isinstance(c, (int, Fraction)):
-        raise TypeError(f"times_linear_add takes an int or a Fraction, not {type(c).__name__}")
-    check_lam(lam, "times_linear_add")
-    p, q, xd, yd, cd = lam.numerator, lam.denominator, x.denominator, y.denominator, c.denominator
-    g = math.gcd(xd, yd)
-    yd //= g
-    return Fraction(
-        x.numerator * (a * q + b * p) * yd * cd + c.numerator * q * y.numerator * (xd // g),
-        q * xd * yd * cd,
-    )
+    bad = next(type(v).__name__ for v in (c, x, y, lam) if type(v) is not int)
+    raise TypeError(f"times_linear_add takes LAM or ints, not {bad}")
 
 
 def linear_products(a: Value, c: Value, n: int) -> list[Value]:

@@ -8,15 +8,17 @@ classical oracles at the bottom of this module compute those independently
 be cross-checked.
 
 Both Stirling triangles come from one row recurrence, whose rows at a
-rational L = p/q hold the integers q^(n-k) S(n, k).  The Bernoulli, Euler
-and Bell numbers are closed weighted sums over the second-kind triangle; the
-polynomial values at x come from the binomial convolution with degenerate
-falling factorials of x.  The Bernoulli weights and the falling factorials
-are products of linear factors in L, so over polynomials in L those sums run
-by Horner's rule (``StirlingTable.nested_row``).  Each family's sum is one
-function of a row in both rings, built once by ``row_sums``: the Bernoulli,
-Euler and Bell sequences map it over the triangle's rows, and the CLI over
-rows streamed from ``triangle_rows``, none kept.  At a rational L every one
+rational L = p/q hold the integers q^(n-k) S(n, k); ``triangle_rows`` cuts
+them into reduced integer pairs for the CLI, and ``stirling*_table`` into
+Fractions.  The Bernoulli, Euler and Bell numbers are closed weighted
+sums over the second-kind triangle; the polynomial values at x come from
+the binomial convolution with degenerate falling factorials of x.  The
+Bernoulli weights and the falling factorials are products of linear factors
+in L, so over polynomials in L those sums run by Horner's rule
+(``StirlingTable.nested_row``).  Each family's sum is one function of a row
+in both rings, built once by ``row_sums``: the Bernoulli, Euler and Bell
+sequences map it over the triangle's rows, and the CLI over rows streamed
+from ``triangle_rows``, none kept.  At a rational L every one
 of these sums is an integer row against integer weights, one dot product
 per row reduced once (``_dots``).  Each family takes L as ``lam``: LAM (the
 default) gives polynomials in L, a Fraction the same numbers at that value.
@@ -85,6 +87,18 @@ def _stirling_rows(nmax: int, lam: Value, first: bool = False) -> list[tuple]:
     return rows[: nmax + 1]
 
 
+def _pair_rows(rows: list[tuple], q: int) -> Iterator[tuple]:
+    # The integer rows q^(n-k) S(n, k) as reduced pairs: S(n, k) is v / q^(n-k)
+    # reduced by one gcd, which a v prime to q skips.
+    qs = [q**j for j in range(len(rows))]
+    gcd = math.gcd
+    for n, row in enumerate(rows):
+        yield tuple(
+            (v, t) if gcd(v, q) == 1 else (v // (g := gcd(v, t)), t // g)
+            for v, t in zip(row, qs[n::-1])
+        )
+
+
 def _table(rows: list[tuple], lam: Value) -> StirlingTable:
     # The table of S(n, k) = rows[n][k] / q^(n-k), each rational cell reduced once.
     if lam is not LAM:
@@ -129,10 +143,14 @@ def row_sums(family: str, nmax: int, lam: Value = LAM, x: Scalar = 1) -> Callabl
     return _dots(list(ws), [q**n for n in range(nmax + 1)])
 
 
-def triangle_rows(nmax: int, first: bool = False) -> Iterator[tuple]:
-    """Rows 0..nmax of ``stirling2_table(nmax)`` (``stirling1_table(nmax)``
-    with ``first``), polynomials in L, one at a time: each row is built from
-    the one before only when it is asked for, and none is kept."""
+def triangle_rows(nmax: int, first: bool = False, lam: Value = LAM) -> Iterator[tuple]:
+    """Rows 0..nmax of ``stirling2_table(nmax, lam)`` (``stirling1_table``
+    with ``first``), one at a time.  Over L (lam = LAM) each row is built
+    from the one before only when it is asked for, and none is kept.  At a
+    rational lam each cell is its reduced pair (numerator, denominator > 0),
+    which ``exact.format_pairs`` renders, and no Fraction is made."""
+    if lam is not LAM:
+        return _pair_rows(_stirling_rows(nmax, lam, first), lam.denominator)
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
     row = (ONE,)

@@ -604,13 +604,18 @@ def test_canonical_text_needs_no_json_escaping(coeffs, q):
         ["matrix", "B", "--rows", "3"],
         ["numbers", "stirling2", "--nmax", "3"],
         ["numbers", "bernoulli", "--nmax", "3"],
+        ["matrix", "B", "--rows", "3", "--lambda=-3/7"],
+        ["matrix", "A", "--seed", "custom", "--rows", "3", "--lambda=1/2"],
     ],
     ids=" ".join,
 )
-def test_a_symbolic_record_writes_the_same_bytes_every_time(argv):
-    # each write of a streamed table builds its rows afresh
+def test_a_symbolic_record_writes_the_same_bytes_every_time(argv, tmp_path):
+    # each write of a streamed table builds its rows afresh; a table at a
+    # rational L is a list of pair rows, which each write reads again
     from degenums import cli
 
+    if "custom" in argv:
+        argv = argv + ["--custom-file", _seed_file(tmp_path, "1 + -1*L\n-5/3*L^2\n2\n1/7*L\n")]
     args = cli.build_parser().parse_args(argv)
     record = (cli._cmd_matrix if args.command == "matrix" else cli._cmd_numbers)(args)
     expected = {fmt: _capture(argv + ["--format", fmt])[1] for fmt in ("flat", "structured")}
@@ -618,6 +623,24 @@ def test_a_symbolic_record_writes_the_same_bytes_every_time(argv):
         out = io.StringIO()
         write(record, out)
         assert out.getvalue() == expected[fmt] and expected[fmt]
+
+
+def test_a_table_at_a_rational_makes_no_fraction_per_cell(monkeypatch):
+    # each of the 5,151 cells of 100 rows at L = -3/8 is a reduced integer
+    # pair, written as it is; the Fractions made are those of the value of L
+    # and of row 0, a few for each row
+    made = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(1)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    status, out, err = _capture(["matrix", "B", "--rows", "100", "--lambda=-3/8"])
+    monkeypatch.undo()
+    assert (status, err) == (0, "") and len(json.loads(out)["payload"]["table"]) == 101
+    assert 0 < len(made) <= 6 * 101
 
 
 class _WriteRecorder(io.StringIO):

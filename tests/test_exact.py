@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from degenums.algorithms import table_rows
 from degenums.exact import (
     LAM,
     ONE,
@@ -150,11 +151,14 @@ def test_float_c_rejected_by_the_fused_step_over_polynomials():
 
 
 def test_float_c_rejected_by_the_fused_step_at_a_rational():
-    # without the check the step returns the float 2.0
-    with pytest.raises(TypeError, match="takes an int or a Fraction, not float"):
-        times_linear_add(F(1), 1, 1, F(1), 0.5, F(1, 2))
-    with pytest.raises(TypeError, match="takes an int or a Fraction, not float"):
-        times_linear_add(F(1), 1, 1, F(1), 1.0, F(1, 2))
+    # at a rational L the kind-A/B step takes its cells from row 0, where a
+    # float would carry on into every cell below it; the int lane, which
+    # would return the float 2.0, refuses a float c
+    for bad in (0.5, 1.0):
+        with pytest.raises(TypeError, match="takes an int or a Fraction, not float"):
+            list(table_rows("B", [F(1), bad], F(1, 2)))
+        with pytest.raises(TypeError, match="takes LAM or ints, not float"):
+            times_linear_add(1, 1, 1, 1, bad, 2)
 
 
 def test_float_eval_at_rejected():
@@ -414,24 +418,48 @@ def test_sum_of_products_edge_cases():
 
 
 @settings(deadline=None, max_examples=300)
-@given(
-    _polys | _ints, _ints, _ints, _polys | _ints, _rationals | _ints,
-    _rationals | st.sampled_from((0, 2, -1)),
-)
-# c = 1, as in every Stirling cell, and c = -(m+1), as in every kind-A/B cell
-@example(LambdaPoly((F(1, 2), 3)), 2, -5, LambdaPoly((F(2, 3), 0, 1)), 1, F(-3, 7))
-@example(LambdaPoly((F(1, 6), F(-2, 9))), 3, 1, LambdaPoly((F(5, 4),)), -4, F(1, 2))
-# an int x, y, c and L, where the lane computes in plain ints
+@given(_ints, _ints, _ints, _ints, _ints, _ints)
+# c = 1, as in every Stirling cell: an int x, y, c and L, where the lane
+# computes in plain ints
 @example(3, 1, -2, -5, 4, 2)
 @example(0, 7, 7, 0, 1, 0)
 def test_times_linear_add_commutes_with_evaluation(x, a, b, y, c, q):
     # an int x or y is the same value in both rings
-    xs, ys = (LambdaPoly.constant(v) if isinstance(v, int) else v for v in (x, y))
-    xq, yq = (v if isinstance(v, int) else v.eval_at(q) for v in (x, y))
-    lane = times_linear_add(xq, a, b, yq, c, q)
-    assert type(lane) is (int if all(type(v) is int for v in (xq, yq, c, q)) else F)
-    assert lane == xs.mul_linear_add(a, b, ys, c).eval_at(q)
-    assert lane == F(xq) * (a + b * F(q)) + F(yq) * F(c)
+    lane = times_linear_add(x, a, b, y, c, q)
+    assert type(lane) is int
+    assert lane == LambdaPoly.constant(x).mul_linear_add(a, b, LambdaPoly.constant(y), c).eval_at(q)
+    assert lane == F(x) * (a + b * F(q)) + F(y) * F(c)
+
+
+# row 0 of a kind-A/B run: polynomials and ints, as the fused step's x and y
+_first_rows = st.lists(_polys | _ints, min_size=1, max_size=6)
+
+
+# each example checks every cell of a run, up to 15 fused steps
+@settings(deadline=None, max_examples=150)
+@given(st.sampled_from("BA"), _first_rows, _rationals | st.sampled_from((0, 2, -1)))
+# c = -(m+1), as in every kind-A/B cell, down to b = -5 in row 6
+@example("B", [LambdaPoly((F(1, 2), 3)), LambdaPoly((F(2, 3), 0, 1))] * 3 + [1], F(-3, 7))
+@example("A", [LambdaPoly((F(1, 6), F(-2, 9))), LambdaPoly((F(5, 4),)), -4], F(1, 2))
+# an int row 0 and L, where every denominator is 1
+@example("B", [3, 1, -2, -5, 4], 2)
+@example("A", [0, 7, 7, 0], 0)
+def test_pair_step_commutes_with_evaluation(kind, first, q):
+    # each cell of the run at L = q is a reduced pair, the symbolic cell at q
+    # and the step's ring expression in Fractions of the row above
+    symbolic = table_rows(kind, [v if isinstance(v, LambdaPoly) else LambdaPoly.constant(v) for v in first])
+    at_q = [v.eval_at(q) if isinstance(v, LambdaPoly) else v for v in first]
+    shift, prev = (0 if kind == "B" else 1), None
+    for n, (row, poly_row) in enumerate(zip(table_rows(kind, at_q, q), symbolic, strict=True)):
+        assert all(type(u) is type(d) is int and d > 0 and math.gcd(u, d) == 1 for u, d in row)
+        cells = [F(u, d) for u, d in row]
+        assert cells == [p.eval_at(q) for p in poly_row]
+        if prev is not None:
+            assert cells == [
+                prev[m] * (m + shift + (1 - n) * F(q)) - (m + 1) * prev[m + 1]
+                for m in range(len(cells))
+            ]
+        prev = cells
 
 
 def test_rational_cell_uses_no_polynomial_kernel(monkeypatch):
@@ -442,7 +470,13 @@ def test_rational_cell_uses_no_polynomial_kernel(monkeypatch):
 
     for name in ("mul_linear_add", "eval_at", "__mul__", "__add__", "__init__", "_raw"):
         monkeypatch.setattr(LambdaPoly, name, boom)
-    assert times_linear_add(F(2, 3), 1, -2, F(5, 7), -3, F(-3, 7)) == F(-19, 21)
+    # the kind-A run at L = -3/7, against the same run in Fractions
+    lam, rows = F(-3, 7), [(F(2, 3), F(5, 7), F(-1, 2), F(3))]
+    for n in range(1, 4):
+        prev = rows[-1]
+        rows.append(tuple(prev[m] * (m + 1 + (1 - n) * lam) - (m + 1) * prev[m + 1] for m in range(4 - n)))
+    pairs = [tuple((v.numerator, v.denominator) for v in row) for row in rows]
+    assert list(table_rows("A", rows[0], lam)) == pairs and pairs[3] == ((-32449, 1029),)
     assert times_linear_add(2, 1, -2, 5, 1, 2) == -1
 
 
@@ -450,10 +484,12 @@ def test_lam_is_lam_itself_or_a_rational():
     for lam in (LAM, 0, -2, F(-3, 7)):
         check_lam(lam, "who")
     # equal to LAM but not LAM itself, and another polynomial: both rejected,
-    # by the check and by the rational branch of the fused step
+    # by the check, by the pair step of the kind-A/B runs and by the fused step
     for lam in (LambdaPoly((0, 1)), LAM + 1, ONE):
         with pytest.raises(TypeError, match="who takes LAM .* not a LambdaPoly other than LAM"):
             check_lam(lam, "who")
+        with pytest.raises(TypeError, match="^table_rows takes LAM .* not a LambdaPoly other than LAM"):
+            list(table_rows("B", [F(1), F(1)], lam))
         with pytest.raises(TypeError, match="^times_linear_add takes LAM"):
             times_linear_add(F(1), 1, 1, F(1), 1, lam)
         with pytest.raises(TypeError, match="^ring_one takes LAM"):
